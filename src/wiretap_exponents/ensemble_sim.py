@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .channel_core import _as_prob_vector
-from .exponent_engine import ExponentQuery, _E0Evaluator
+from .exponent_engine import ExponentQuery, _envelope
 from .solvers import scan_then_golden_max
 
 MAX_BLOCK = 8
@@ -173,8 +173,14 @@ def exact_ensemble_divergence(spec):
     return total
 
 
-def _trivial_query(spec):
-    return ExponentQuery(spec.pair, spec.q, np.ones(2), 1.0)
+def _untilted_e0(spec, side):
+    """kappa -> E0 of one side at zero tilts, from the shared envelope.
+
+    The trivial cost (c identically 1 with cap 1) has zero tilt caps, so
+    the envelope's tilt search returns the untilted value exactly.
+    """
+    envelope = _envelope(ExponentQuery(spec.pair, spec.q, np.ones(2), 1.0), side)
+    return lambda kappa: envelope(kappa)[0]
 
 
 def _psi(rho, channel, q):
@@ -192,11 +198,11 @@ def _psi(rho, channel, q):
 
 def error_bound(spec):
     """Exponential upper bound on the expected decoding error."""
-    ev = _E0Evaluator(_trivial_query(spec), "bob")
+    e0 = _untilted_e0(spec, "bob")
     log_ml = math.log(spec.M * spec.L)
 
     def neg_exponent(rho):
-        return spec.n * ev(1.0 + rho, 0.0, 0.0) - rho * log_ml
+        return spec.n * e0(1.0 + rho) - rho * log_ml
 
     _, best = scan_then_golden_max(neg_exponent, 0.0, 1.0, scan_points=17, tol=1e-12)
     return 2.0 * math.exp(-best)
@@ -209,14 +215,14 @@ def divergence_bounds(spec):
     form is the one with a closed single-letter development.
     """
     n, L = spec.n, spec.L
-    ev = _E0Evaluator(_trivial_query(spec), "eve")
+    e0 = _untilted_e0(spec, "eve")
     log_l = math.log(L)
 
     def psi_neg(rho):
         return n * _psi(rho, spec.pair.eve, spec.q) + math.log(rho) + rho * log_l
 
     def phi_neg(rho):
-        return n * ev(1.0 - rho, 0.0, 0.0) + math.log(rho) + rho * log_l
+        return n * e0(1.0 - rho) + math.log(rho) + rho * log_l
 
     _, best_psi = scan_then_golden_max(psi_neg, 1e-6, 1.0, scan_points=33, tol=1e-12)
     _, best_phi = scan_then_golden_max(phi_neg, 1e-6, 1.0 - 1e-9, scan_points=33, tol=1e-12)
@@ -225,8 +231,7 @@ def divergence_bounds(spec):
 
 def holder_gap(spec, rho):
     """psi(rho) - phi(-rho) for the tapped channel; nonnegative for rho in (0,1)."""
-    ev = _E0Evaluator(_trivial_query(spec), "eve")
-    return _psi(rho, spec.pair.eve, spec.q) - ev(1.0 - rho, 0.0, 0.0)
+    return _psi(rho, spec.pair.eve, spec.q) - _untilted_e0(spec, "eve")(1.0 - rho)
 
 
 def mc_ensemble_error(spec, samples=100_000, seed=0):

@@ -17,9 +17,12 @@ Rates and exponents are in nats per channel use throughout this module.
 The supremum over (rho, r, s) is taken by a coarse scan followed by
 golden-section refinement in each variable; the objective is concave in
 rho for fixed tilts and concave in each tilt separately, and the scan
-step guards the nesting against surprises.
+step guards the nesting against surprises. The inner maximum over the
+tilts does not depend on the rate, so it is memoised per (query, side)
+and shared by every rate, curve and caller (``_Envelope``).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -65,6 +68,8 @@ class ExponentQuery:
             cost_on_v = costs
         rate_b = float(rate_b)
         rate_e = float(rate_e)
+        if not (math.isfinite(rate_b) and math.isfinite(rate_e)):
+            raise ValueError(f"rates must be finite, got rate_b={rate_b}, rate_e={rate_e}")
         if rate_b < 0.0 or rate_e < 0.0:
             raise ValueError("rates must be nonnegative")
         object.__setattr__(self, "pair", pair)
@@ -197,7 +202,7 @@ def gallager_e0(rho, query, r=0.0, s=0.0):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     if r < 0.0 or s < 0.0:
         raise ValueError("tilt parameters must be nonnegative")
-    return _E0Evaluator(query, "bob")(1.0 + rho, r, s)
+    return _envelope(query, "bob").evaluator(1.0 + rho, r, s)
 
 
 def resolvability_e0(rho, query, r=0.0, s=0.0):
@@ -206,7 +211,7 @@ def resolvability_e0(rho, query, r=0.0, s=0.0):
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     if r < 0.0 or s < 0.0:
         raise ValueError("tilt parameters must be nonnegative")
-    return _E0Evaluator(query, "eve")(1.0 - rho, r, s)
+    return _envelope(query, "eve").evaluator(1.0 - rho, r, s)
 
 
 @dataclass(frozen=True)
@@ -283,18 +288,99 @@ def _max_over_tilts(ev, kappa, caps, merged):
     return val, r_star, s_star
 
 
+# At most this many (query, side) envelopes are kept, least recently
+# used first out, each with at most ENVELOPE_MEMO_SIZE memoised kappas
+# (about 150 bytes each): under 20 MB in all.
+ENVELOPE_CACHE_SIZE = 32
+ENVELOPE_MEMO_SIZE = 4096
+
+
+class _Envelope:
+    """Rate-free tilt envelope of one (query, side): kappa -> max over tilts.
+
+    Every exponent is sup over rho of this envelope at kappa = 1 +- rho
+    minus (reliability) or plus (secrecy) rho times the rate, so curves,
+    zero-rate bisections and repeated scenarios share one envelope. The
+    tilt search is deterministic in kappa, so the memo returns exactly
+    the floats a fresh search computes. It is cleared when it reaches
+    ENVELOPE_MEMO_SIZE entries, which bounds its memory. Concurrent
+    callers can at worst repeat a search; none sees a different value.
+    """
+
+    __slots__ = ("evaluator", "_caps", "_merged", "_memo")
+
+    def __init__(self, query, side):
+        self.evaluator = _E0Evaluator(query, side)
+        self._caps = _tilt_caps(query)
+        self._merged = query.aux is None
+        self._memo = {}
+
+    def __call__(self, kappa):
+        """(max over tilts of E0 at kappa, r*, s*)."""
+        hit = self._memo.get(kappa)
+        if hit is None:
+            if len(self._memo) >= ENVELOPE_MEMO_SIZE:
+                self._memo.clear()
+            hit = self._memo[kappa] = _max_over_tilts(self.evaluator, kappa, self._caps, self._merged)
+        return hit
+
+
+def _array_key(a):
+    return a.shape, a.tobytes()
+
+
+class _EnvelopeKey:
+    """A (query, side) that hashes and compares by its rate-free content.
+
+    The content is everything the evaluator and the tilt caps read:
+    side, both channels, the input law, the costs, the cap and the
+    auxiliary channel. The key carries its query so that a cache miss
+    can build the envelope.
+    """
+
+    __slots__ = ("query", "side", "_content")
+
+    def __init__(self, query, side):
+        aux = query.aux
+        self.query = query
+        self.side = side
+        self._content = (
+            side,
+            _array_key(query.pair.bob.rows),
+            _array_key(query.pair.eve.rows),
+            _array_key(query.input.probs),
+            _array_key(query.costs_x),
+            query.gamma.hex(),
+            None if aux is None else _array_key(aux.rows),
+        )
+
+    def __hash__(self):
+        return hash(self._content)
+
+    def __eq__(self, other):
+        return self._content == other._content
+
+
+@functools.lru_cache(maxsize=ENVELOPE_CACHE_SIZE)
+def _cached_envelope(key):
+    return _Envelope(key.query, key.side)
+
+
+def _envelope(query, side):
+    """The shared envelope of (query, side); at most ENVELOPE_CACHE_SIZE are kept."""
+    return _cached_envelope(_EnvelopeKey(query, side))
+
+
 def _optimize(query, side, rate):
-    """sup over (rho, r, s) of the signed exponent objective at one rate."""
-    ev = _E0Evaluator(query, side)
-    caps = _tilt_caps(query)
-    merged = query.aux is None
+    """sup over rho of the signed exponent objective at one rate."""
+    envelope = _envelope(query, side)
     sign = -1.0 if side == "bob" else 1.0
 
     state = {}
 
     def objective(rho):
         kappa = 1.0 + rho if side == "bob" else 1.0 - rho
-        val, r_star, s_star = _max_over_tilts(ev, kappa, caps, merged)
+        val, r_star, s_star = envelope(kappa)
         obj = val + sign * rho * rate
         state[rho] = (r_star, s_star)
         return obj
@@ -336,9 +422,10 @@ def secrecy_exponent(query):
 class ExponentCurve:
     """Ordered (rate, exponent) samples with optimizer diagnostics.
 
-    Rates must be strictly increasing and exponents nonnegative (within
-    1e-12); ``meta`` carries the function name, parameters, and per-point
-    argmax values of (rho, r, s) plus the raw unclamped objective.
+    Rates and exponents must be finite, rates strictly increasing and
+    exponents nonnegative (within 1e-12); ``meta`` carries the function
+    name, parameters, and per-point argmax values of (rho, r, s) plus the
+    raw unclamped objective.
     """
 
     __slots__ = ("rates", "exponents", "meta")
@@ -348,6 +435,8 @@ class ExponentCurve:
         exponents = np.asarray(exponents, dtype=np.float64)
         if rates.ndim != 1 or rates.shape != exponents.shape:
             raise ValueError("rates and exponents must be matching 1-D arrays")
+        if not (np.all(np.isfinite(rates)) and np.all(np.isfinite(exponents))):
+            raise ValueError("rates and exponents must be finite")
         if rates.size >= 2 and np.any(np.diff(rates) <= 0.0):
             raise ValueError("rates must be strictly increasing")
         if np.any(exponents < -1e-12):
@@ -362,6 +451,8 @@ class ExponentCurve:
 
 def _curve(query, side, rates, name, offset=0.0):
     rates = np.asarray(rates, dtype=np.float64)
+    if not np.all(np.isfinite(rates + offset)):
+        raise ValueError("rates must be finite")
     values, rhos, rs, ss, raws = [], [], [], [], []
     for rate in rates:
         opt = _optimize(query, side, float(rate) + offset)

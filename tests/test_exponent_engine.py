@@ -1,7 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap_exponents import (
     DiscreteChannel,
@@ -17,9 +20,20 @@ from wiretap_exponents import (
     secrecy_capacity,
     secrecy_curve,
     secrecy_exponent,
+    secrecy_optimum,
     secrecy_zero_rate,
     tradeoff_scenarios,
 )
+from wiretap_exponents import exponent_engine as engine
+from wiretap_exponents.channel_core import lifted_cost
+from wiretap_exponents.exponent_engine import (
+    RHO_EPS,
+    ExponentOptimum,
+    _E0Evaluator,
+    _max_over_tilts,
+    _tilt_caps,
+)
+from wiretap_exponents.solvers import scan_then_golden_max
 
 
 def bsc_pair(eps_b=0.1, eps_e=0.3):
@@ -121,6 +135,13 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             fig_query(rate_b=-0.1)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rates_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fig_query(rate_b=bad)
+        with pytest.raises(ValueError, match="finite"):
+            fig_query().with_rates(rate_e=bad)
+
 
 class TestExponentValues:
     def test_zero_rate_equals_classical_gallager(self):
@@ -162,8 +183,6 @@ class TestExponentValues:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_large_rate_saturates_order_parameter(self):
-        from wiretap_exponents import secrecy_optimum
-
         opt = secrecy_optimum(fig_query(rate_e=5.0))
         assert opt.rho > 0.99
         # near saturation the exponent grows about one-for-one with rate
@@ -180,6 +199,22 @@ class TestExponentCurve:
     def test_exponents_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             ExponentCurve([0.1, 0.2], [0.0, -1e-6])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ExponentCurve([0.1, bad], [0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            ExponentCurve([0.1, 0.2], [0.0, bad])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_curves_reject_non_finite_rates(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            reliability_curve(fig_query(), [0.1, bad])
+        with pytest.raises(ValueError, match="finite"):
+            secrecy_curve(fig_query(), [bad, 0.3])
+        with pytest.raises(ValueError, match="finite"):
+            tradeoff_scenarios(fig_query(), "rate_shift", [bad], points=3)
 
     def test_curve_metadata(self):
         query = fig_query()
@@ -265,3 +300,130 @@ class TestTradeoffScenarios:
         query = ExponentQuery(bsc_pair(), [0.98, 0.02], [1.0, 2.0], 1.4)
         with pytest.raises(ValueError, match="not reachable"):
             tradeoff_scenarios(query, "concatenate", [0.025], points=5)
+
+
+def reference_optimize(query, side, rate):
+    # The uncached rho search, written out: a fresh evaluator per call
+    # and a full tilt search at every rho the search visits.
+    ev = _E0Evaluator(query, side)
+    caps = _tilt_caps(query)
+    merged = query.aux is None
+    sign = -1.0 if side == "bob" else 1.0
+    state = {}
+
+    def objective(rho):
+        kappa = 1.0 + rho if side == "bob" else 1.0 - rho
+        val, r_star, s_star = _max_over_tilts(ev, kappa, caps, merged)
+        obj = val + sign * rho * rate
+        state[rho] = (r_star, s_star)
+        return obj
+
+    lo, hi = (0.0, 1.0) if side == "bob" else (RHO_EPS, 1.0 - RHO_EPS)
+    rho_star, raw = scan_then_golden_max(objective, lo, hi, scan_points=17, tol=1e-10)
+    r_star, s_star = state[rho_star]
+    return ExponentOptimum(max(raw, 0.0), raw, rho_star, r_star, s_star)
+
+
+def bits(opt):
+    return tuple(float(v).hex() for v in astuple(opt))
+
+
+def curve_bits(curve):
+    meta = curve.meta
+    columns = (curve.exponents, meta["raw"], meta["argmax_rho"], meta["argmax_r"], meta["argmax_s"])
+    return [tuple(float(v).hex() for v in row) for row in zip(*columns)]
+
+
+def random_query(seed, k, with_aux, binding):
+    # k-letter pair (the tap a noisier copy of the legitimate channel),
+    # optionally behind a binary prefix; a binding cap equals the
+    # expected cost of the input law, a slack one lies above it.
+    rng = np.random.default_rng(seed)
+    rows = 0.9 * rng.dirichlet(np.ones(k), size=k) + 0.1 / k
+    pair = WiretapPair(DiscreteChannel(rows), DiscreteChannel(0.5 * rows + 0.5 / k))
+    costs = rng.uniform(0.5, 2.0, size=k)
+    aux = None
+    cost_on_q = costs
+    if with_aux:
+        eps = rng.uniform(0.02, 0.2)
+        aux = DiscreteChannel((1.0 - eps) * np.eye(k)[[0, k - 1]] + eps / k)
+        cost_on_q = lifted_cost(aux, costs)
+    q = rng.dirichlet(np.ones(len(cost_on_q)))
+    gamma = float(q @ cost_on_q) + (0.0 if binding else rng.uniform(0.05, 0.5))
+    return ExponentQuery(pair, q, costs, gamma, aux=aux)
+
+
+def rate_grid(query, side, fractions):
+    # Reliability rates below the legitimate mutual information, secrecy
+    # rates above the tapped one, where both exponents are positive.
+    info = query.mutual_information(side)
+    scale = np.asarray(fractions)
+    return info * scale if side == "bob" else info * (1.0 + scale)
+
+
+class TestSharedEnvelope:
+    @pytest.mark.parametrize("with_aux", [False, True])
+    @pytest.mark.parametrize("binding", [False, True])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 3),
+        twentieths=st.lists(st.integers(1, 19), min_size=3, max_size=3, unique=True),
+    )
+    @settings(max_examples=2, deadline=None)
+    def test_matches_uncached_reference_bit_for_bit(self, with_aux, binding, seed, k, twentieths):
+        query = random_query(seed, k, with_aux, binding)
+        fractions = sorted(n / 20 for n in twentieths[:2]) + [twentieths[2] / 20]
+        engine._cached_envelope.cache_clear()
+        for side, curve_fn, optimum_fn in (
+            ("bob", reliability_curve, lambda r: reliability_optimum(query.with_rates(rate_b=r))),
+            ("eve", secrecy_curve, lambda r: secrecy_optimum(query.with_rates(rate_e=r))),
+        ):
+            # The first curve runs on a cold envelope, the second on one
+            # the first has warmed; the point optimum repeats a rate.
+            rates = rate_grid(query, side, fractions)
+            expected = [bits(reference_optimize(query, side, float(r))) for r in rates]
+            assert curve_bits(curve_fn(query, rates[:2])) == expected[:2]
+            assert curve_bits(curve_fn(query, rates[2:])) == expected[2:]
+            assert bits(optimum_fn(float(rates[0]))) == expected[0]
+
+    def test_cache_key_separates_rate_free_content(self):
+        # Each pair differs in one rate-free input only: the cap, one
+        # cost, the prefix channel's rows, or (below) the side.
+        base = fig_query()
+        qv1 = (0.3 - 0.025) / 0.95
+        prefixed = ExponentQuery(bsc_pair(), [1 - qv1, qv1], [1.0, 2.0], 1.4, aux=DiscreteChannel.bsc(0.025))
+        variants = [
+            (base, ExponentQuery(bsc_pair(), [0.6, 0.4], [1.0, 2.0], 1.6)),
+            (base, ExponentQuery(bsc_pair(), [0.6, 0.4], [1.0, 1.5], 1.4)),
+            (prefixed, ExponentQuery(bsc_pair(), [1 - qv1, qv1], [1.0, 2.0], 1.4, aux=DiscreteChannel.bsc(0.05))),
+        ]
+        rate = 0.2
+        for side in ("bob", "eve"):
+            for first, second in variants:
+                engine._cached_envelope.cache_clear()
+                first_opt = engine._optimize(first, side, rate)
+                second_opt = engine._optimize(second, side, rate)
+                assert engine._envelope(first, side) is not engine._envelope(second, side)
+                assert bits(first_opt) == bits(reference_optimize(first, side, rate))
+                assert bits(second_opt) == bits(reference_optimize(second, side, rate))
+        engine._cached_envelope.cache_clear()
+        bob = engine._optimize(base, "bob", rate)
+        eve = engine._optimize(base, "eve", rate)
+        assert engine._envelope(base, "bob") is not engine._envelope(base, "eve")
+        assert bits(bob) == bits(reference_optimize(base, "bob", rate))
+        assert bits(eve) == bits(reference_optimize(base, "eve", rate))
+
+    def test_cache_holds_at_most_its_bound(self):
+        engine._cached_envelope.cache_clear()
+        for i in range(engine.ENVELOPE_CACHE_SIZE + 8):
+            gallager_e0(0.5, ExponentQuery(bsc_pair(), [0.6, 0.4], [1.0, 2.0], 1.4 + 0.01 * i))
+        assert engine._cached_envelope.cache_info().currsize <= engine.ENVELOPE_CACHE_SIZE
+
+    def test_full_memo_is_cleared_without_changing_results(self, monkeypatch):
+        monkeypatch.setattr(engine, "ENVELOPE_MEMO_SIZE", 5)
+        engine._cached_envelope.cache_clear()
+        query = fig_query()
+        rates = np.linspace(0.05, 0.3, 3)
+        expected = [bits(reference_optimize(query, "bob", float(r))) for r in rates]
+        assert curve_bits(reliability_curve(query, rates)) == expected
+        assert len(engine._envelope(query, "bob")._memo) <= 5
