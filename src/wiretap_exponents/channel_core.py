@@ -11,6 +11,7 @@ are stored as dense row-major float64 matrices.
 
 import json
 import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +19,29 @@ from .solvers import golden_min
 
 PROB_TOL = 1e-12
 MORE_CAPABLE_TOL = 1e-9
+
+
+def _frozen_array(values, name="array"):
+    """A read-only float64 copy of ``values``; rejects NaN and inf."""
+    a = np.array(values, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite, got {a}")
+    a.flags.writeable = False
+    return a
+
+
+def _finite_float(value, name="value"):
+    """``value`` as a float; rejects NaN and inf."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _rebuild(self):
+    # Pickle and deepcopy go through the constructor, which validates the
+    # copy and freezes its arrays again.
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _as_prob_vector(q, name="distribution"):
@@ -31,6 +55,7 @@ def _as_prob_vector(q, name="distribution"):
     return q
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class DiscreteChannel:
     """A discrete memoryless channel W(output | input).
 
@@ -41,23 +66,20 @@ class DiscreteChannel:
         and every entry must lie in [0, 1].
     """
 
-    __slots__ = ("rows",)
+    rows: np.ndarray
 
-    def __init__(self, rows):
-        rows = np.asarray(rows, dtype=np.float64)
+    def __post_init__(self):
+        rows = _frozen_array(self.rows, "channel matrix")
         if rows.ndim != 2 or rows.size == 0:
             raise ValueError(f"channel matrix must be 2-D and non-empty, got shape {rows.shape}")
-        if np.any(rows < -PROB_TOL) or np.any(rows > 1.0 + PROB_TOL):
+        if (rows < -PROB_TOL).any() or (rows > 1.0 + PROB_TOL).any():
             raise ValueError("channel matrix has entries outside [0, 1]")
         sums = rows.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > PROB_TOL):
+        if (np.abs(sums - 1.0) > PROB_TOL).any():
             raise ValueError(f"channel rows must sum to 1 within {PROB_TOL}, got {sums}")
-        rows = rows.copy()
-        rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DiscreteChannel is immutable")
+    __reduce__ = _rebuild
 
     @property
     def num_inputs(self):
@@ -82,6 +104,7 @@ class DiscreteChannel:
         return f"DiscreteChannel({self.rows.tolist()})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CostedInput:
     """Input distribution with a per-letter cost and an average-cost cap.
 
@@ -90,52 +113,46 @@ class CostedInput:
     the constraint holds.
     """
 
-    __slots__ = ("probs", "costs", "gamma")
+    probs: np.ndarray
+    costs: np.ndarray
+    gamma: float
 
-    def __init__(self, probs, costs, gamma):
-        probs = _as_prob_vector(probs, "input distribution")
-        costs = np.asarray(costs, dtype=np.float64)
+    def __post_init__(self):
+        probs = _as_prob_vector(_frozen_array(self.probs, "input distribution"), "input distribution")
+        costs = _frozen_array(self.costs, "costs")
         if costs.shape != probs.shape:
             raise ValueError(f"costs shape {costs.shape} does not match distribution shape {probs.shape}")
         if np.any(costs < 0.0):
             raise ValueError("costs must be nonnegative")
-        gamma = float(gamma)
+        gamma = _finite_float(self.gamma, "cost cap")
         if gamma < 0.0:
             raise ValueError(f"cost cap must be nonnegative, got {gamma}")
         expected = float(probs @ costs)
         if expected > gamma + PROB_TOL:
             raise ValueError(f"expected cost {expected} exceeds cap {gamma}")
-        probs = probs.copy()
-        costs = costs.copy()
-        probs.flags.writeable = False
-        costs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "gamma", gamma)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CostedInput is immutable")
+    __reduce__ = _rebuild
 
     @property
     def expected_cost(self):
         return float(self.probs @ self.costs)
 
 
+@dataclass(frozen=True, slots=True)
 class WiretapPair:
     """A pair of channels sharing one input: ``bob`` legitimate, ``eve`` tapped."""
 
-    __slots__ = ("bob", "eve")
+    bob: DiscreteChannel
+    eve: DiscreteChannel
 
-    def __init__(self, bob, eve):
-        if bob.num_inputs != eve.num_inputs:
+    def __post_init__(self):
+        if self.bob.num_inputs != self.eve.num_inputs:
             raise ValueError(
-                f"channels must share the input alphabet: {bob.num_inputs} vs {eve.num_inputs}"
+                f"channels must share the input alphabet: {self.bob.num_inputs} vs {self.eve.num_inputs}"
             )
-        object.__setattr__(self, "bob", bob)
-        object.__setattr__(self, "eve", eve)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WiretapPair is immutable")
 
     @property
     def num_inputs(self):
@@ -294,14 +311,14 @@ def parse_wiretap_config(doc):
     bob = DiscreteChannel(doc["bob"])
     eve = DiscreteChannel(doc["eve"])
     pair = WiretapPair(bob, eve)
-    costs = np.asarray(doc["costs"], dtype=np.float64)
+    costs = _frozen_array(doc["costs"], "costs")
     if costs.shape != (pair.num_inputs,):
         raise ValueError("costs length does not match the input alphabet")
     if np.any(costs < 0.0):
         raise ValueError("costs must be nonnegative")
-    out = {"pair": pair, "costs": costs, "gamma": float(doc["gamma"]), "q": None}
+    out = {"pair": pair, "costs": costs, "gamma": _finite_float(doc["gamma"], "gamma"), "q": None}
     if "q" in doc:
-        out["q"] = _as_prob_vector(doc["q"], "q")
+        out["q"] = _as_prob_vector(_frozen_array(doc["q"], "q"), "q")
         if out["q"].shape != (pair.num_inputs,):
             raise ValueError("q length does not match the input alphabet")
     return out

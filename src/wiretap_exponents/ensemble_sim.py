@@ -16,10 +16,11 @@ evaluated untilted. Divergences are in nats.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_core import _as_prob_vector
+from .channel_core import WiretapPair, _as_prob_vector, _frozen_array, _rebuild
 from .exponent_engine import ExponentQuery, _envelope
 from .solvers import scan_then_golden_max
 
@@ -28,6 +29,7 @@ MAX_CODEBOOK = 8
 MAX_DIVERGENCE_WORK = 1 << 25
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class EnsembleSpec:
     """Parameters of one exact-enumeration run.
 
@@ -37,27 +39,30 @@ class EnsembleSpec:
     so n <= 8 and M*L <= 8 are hard limits.
     """
 
-    __slots__ = ("pair", "n", "M", "L", "q")
+    pair: WiretapPair
+    n: int
+    M: int
+    L: int
+    q: np.ndarray
 
-    def __init__(self, pair, n, M, L, q):
+    def __post_init__(self):
+        pair = self.pair
         if pair.bob.num_inputs != 2 or pair.bob.num_outputs != 2 or pair.eve.num_outputs != 2:
             raise ValueError("exact enumeration supports binary-input binary-output pairs only")
-        n, M, L = int(n), int(M), int(L)
+        n, M, L = int(self.n), int(self.M), int(self.L)
         if not 1 <= n <= MAX_BLOCK:
             raise ValueError(f"block length must be in [1, {MAX_BLOCK}], got {n}")
         if M < 1 or L < 1 or M * L > MAX_CODEBOOK:
             raise ValueError(f"need M, L >= 1 with M*L <= {MAX_CODEBOOK}, got M={M}, L={L}")
-        q = _as_prob_vector(q, "input distribution")
+        q = _as_prob_vector(_frozen_array(self.q, "input distribution"), "input distribution")
         if q.shape != (2,):
             raise ValueError("input distribution must be binary")
-        object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "q", q)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EnsembleSpec is immutable")
+    __reduce__ = _rebuild
 
 
 def _pattern_counts(c, y, n):

@@ -31,6 +31,10 @@ import numpy as np
 from .channel_core import (
     CostedInput,
     DiscreteChannel,
+    WiretapPair,
+    _finite_float,
+    _frozen_array,
+    _rebuild,
     concatenate,
     is_more_capable,
     lifted_cost,
@@ -44,6 +48,7 @@ ZERO_RATE_THRESHOLD = 1e-15
 _NEG_INF = float("-inf")
 
 
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ExponentQuery:
     """Everything an exponent evaluation needs: channels, input, costs, rates.
 
@@ -54,10 +59,15 @@ class ExponentQuery:
     the induced X distribution.
     """
 
-    __slots__ = ("pair", "aux", "input", "costs_x", "rate_b", "rate_e")
+    pair: WiretapPair
+    aux: DiscreteChannel | None
+    input: CostedInput
+    costs_x: np.ndarray
+    rate_b: float
+    rate_e: float
 
     def __init__(self, pair, q, costs, gamma, rate_b=0.0, rate_e=0.0, aux=None):
-        costs = np.asarray(costs, dtype=np.float64)
+        costs = _frozen_array(costs, "costs")
         if costs.shape != (pair.num_inputs,):
             raise ValueError("costs length does not match the channel input alphabet")
         if aux is not None:
@@ -66,22 +76,21 @@ class ExponentQuery:
             cost_on_v = lifted_cost(aux, costs)
         else:
             cost_on_v = costs
-        rate_b = float(rate_b)
-        rate_e = float(rate_e)
-        if not (math.isfinite(rate_b) and math.isfinite(rate_e)):
-            raise ValueError(f"rates must be finite, got rate_b={rate_b}, rate_e={rate_e}")
+        rate_b = _finite_float(rate_b, "rate_b")
+        rate_e = _finite_float(rate_e, "rate_e")
         if rate_b < 0.0 or rate_e < 0.0:
             raise ValueError("rates must be nonnegative")
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "aux", aux)
         object.__setattr__(self, "input", CostedInput(q, cost_on_v, gamma))
-        object.__setattr__(self, "costs_x", costs.copy())
+        object.__setattr__(self, "costs_x", costs)
         object.__setattr__(self, "rate_b", rate_b)
         object.__setattr__(self, "rate_e", rate_e)
-        self.costs_x.flags.writeable = False
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExponentQuery is immutable")
+    def __reduce__(self):
+        # Through the constructor, like the other value types.
+        args = (self.pair, self.input.probs, self.costs_x, self.gamma, self.rate_b, self.rate_e, self.aux)
+        return ExponentQuery, args
 
     def with_rates(self, rate_b=None, rate_e=None):
         return ExponentQuery(
@@ -510,7 +519,7 @@ def secrecy_zero_rate(query, threshold=ZERO_RATE_THRESHOLD, tol=1e-9):
     return bisect_boundary(lambda rate: _optimize(query, "eve", rate).value > threshold, 0.0, hi, tol=tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class CapacityResult:
     """Secrecy capacity search outcome.
 
@@ -525,6 +534,11 @@ class CapacityResult:
     more_capable: bool
     heuristic: bool
     min_info_gap: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "input_law", _frozen_array(self.input_law, "input law"))
+
+    __reduce__ = _rebuild
 
 
 def _feasible_binary_interval(costs, gamma):
@@ -710,6 +724,21 @@ class TradeoffScenario:
         return all(flag for flag, _ in self.checks.values())
 
 
+def rate_windows(query, points, margin):
+    """Reliability and secrecy rate grids of ``points`` rates each.
+
+    Reliability spans [margin, 1 - margin] times Bob's mutual information.
+    Secrecy starts at 1 + margin times Eve's and reaches past the
+    reliability zero, so paired curves show their crossing.
+    """
+    info_b = query.mutual_information("bob")
+    info_e = query.mutual_information("eve")
+    f_rates = np.linspace(margin * info_b, (1.0 - margin) * info_b, points)
+    h_hi = min(info_e + 1.0, max(2.0 * info_e, 1.02 * info_b))
+    h_rates = np.linspace((1.0 + margin) * info_e, h_hi, points)
+    return f_rates, h_rates
+
+
 def _pointwise_slack(hi_curve, lo_curve):
     return float(np.min(hi_curve.exponents - lo_curve.exponents))
 
@@ -738,13 +767,7 @@ def tradeoff_scenarios(query, mechanism, sweep, points=21, tol=1e-9):
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
-    info_b = query.mutual_information("bob")
-    info_e = query.mutual_information("eve")
-    f_rates = np.linspace(0.05 * info_b, 0.95 * info_b, points)
-    # The secrecy window reaches past the reliability zero so paired
-    # curves show their crossing.
-    h_hi = min(info_e + 1.0, max(2.0 * info_e, 1.02 * info_b))
-    h_rates = np.linspace(1.05 * info_e, h_hi, points)
+    f_rates, h_rates = rate_windows(query, points, margin=0.05)
 
     def curves(qy, f_offset=0.0, h_offset=0.0):
         f = _curve(qy, "bob", f_rates, "reliability", offset=f_offset)

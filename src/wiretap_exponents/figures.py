@@ -89,27 +89,27 @@ def _scenario_curves(mechanism, sweep, points):
     return out
 
 
-def _gaussian_reliability_curves(points):
-    params = gaussian_params()
-    cap = 0.5 * math.log1p(params.snr_bob)
-    rates = np.linspace(0.02 * cap, 0.98 * cap, points)
-    forward = [gw.reliability_forward_tilt(params, float(r)) for r in rates]
-    gall = [gw.reliability_gallager(params, float(r)) for r in rates]
-    return [
-        ("reliability_parametric", ExponentCurve(rates, forward, {"function": "reliability"})),
-        ("reliability_explicit", ExponentCurve(rates, gall, {"function": "reliability"})),
-    ]
+def gaussian_curve(params, side, variant, points):
+    """One Gaussian exponent variant over its side's standard rate window."""
+    if side == "reliability":
+        cap = 0.5 * math.log1p(params.snr_bob)
+        rates = np.linspace(0.02 * cap, 0.98 * cap, points)
+        fn = gw.reliability_forward_tilt if variant == "forward" else gw.reliability_gallager
+    else:
+        floor = 0.5 * math.log1p(params.snr_eve)
+        rates = np.linspace(1.001 * floor, floor + 0.35, points)
+        fn = gw.secrecy_forward_tilt if variant == "forward" else gw.secrecy_gallager_type
+    return ExponentCurve(rates, [fn(params, float(r)) for r in rates], {"function": f"{side}_{variant}"})
 
 
-def _gaussian_secrecy_curves(points):
+def _gaussian_curves(side, points):
+    # Figure curves are named by the form of the formula: the forward
+    # tilt is parametric for reliability and explicit for secrecy.
+    forms = ("parametric", "explicit") if side == "reliability" else ("explicit", "parametric")
     params = gaussian_params()
-    floor = 0.5 * math.log1p(params.snr_eve)
-    rates = np.linspace(1.001 * floor, floor + 0.35, points)
-    forward = [gw.secrecy_forward_tilt(params, float(r)) for r in rates]
-    gall = [gw.secrecy_gallager_type(params, float(r)) for r in rates]
     return [
-        ("secrecy_explicit", ExponentCurve(rates, forward, {"function": "secrecy"})),
-        ("secrecy_parametric", ExponentCurve(rates, gall, {"function": "secrecy"})),
+        (f"{side}_{form}", gaussian_curve(params, side, variant, points))
+        for form, variant in zip(forms, ("forward", "gallager"))
     ]
 
 
@@ -153,12 +153,12 @@ def figure_data(fig_id, points=33):
         ]
         return FigureData(9, dict(POISSON_SETUP, a=0.98, b=0.02), curves)
     if fig_id == 10:
-        return FigureData(10, dict(GAUSSIAN_SETUP), _gaussian_reliability_curves(points))
+        return FigureData(10, dict(GAUSSIAN_SETUP), _gaussian_curves("reliability", points))
     if fig_id == 11:
-        return FigureData(11, dict(GAUSSIAN_SETUP), _gaussian_secrecy_curves(points))
+        return FigureData(11, dict(GAUSSIAN_SETUP), _gaussian_curves("secrecy", points))
     # fig 13: all four Gaussian curves together
     return FigureData(
-        13, dict(GAUSSIAN_SETUP), _gaussian_reliability_curves(points) + _gaussian_secrecy_curves(points)
+        13, dict(GAUSSIAN_SETUP), _gaussian_curves("reliability", points) + _gaussian_curves("secrecy", points)
     )
 
 

@@ -22,42 +22,40 @@ opposite sides of a shared expression.
 * ``secrecy_gallager_type``: parametric in rho, same validity range.
 
 Rates and exponents are nats per channel use. The explicit beta form is
-shared by one reliability and one secrecy variant, and the two
-parametric forms map into each other under rho -> -rho; tests assert
-both correspondences numerically.
+shared by one reliability and one secrecy variant, and both parametric
+variants evaluate one parametric form, the reliability one at +rho and
+the secrecy one at -rho.
 """
 
 import math
+from dataclasses import dataclass, fields
 
+from .channel_core import _finite_float
 from .solvers import bisect_root
 
 CRITICAL_TOL = 1e-12
 
 
+@dataclass(frozen=True, slots=True)
 class GaussianWiretapParams:
     """Attenuations, noise deviations, and the power cap of a Gaussian pair."""
 
-    __slots__ = ("gain_bob", "gain_eve", "noise_bob", "noise_eve", "gamma")
+    gain_bob: float
+    gain_eve: float
+    noise_bob: float
+    noise_eve: float
+    gamma: float
 
-    def __init__(self, gain_bob, gain_eve, noise_bob, noise_eve, gamma):
-        gain_bob, gain_eve = float(gain_bob), float(gain_eve)
-        noise_bob, noise_eve = float(noise_bob), float(noise_eve)
-        gamma = float(gamma)
-        if min(gain_bob, gain_eve, noise_bob, noise_eve) <= 0.0 or gamma <= 0.0:
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _finite_float(getattr(self, f.name), f.name))
+        if min(self.gain_bob, self.gain_eve, self.noise_bob, self.noise_eve, self.gamma) <= 0.0:
             raise ValueError("gains, noise deviations, and the power cap must be positive")
-        if noise_bob / gain_bob > noise_eve / gain_eve:
+        ratio_bob, ratio_eve = self.noise_bob / self.gain_bob, self.noise_eve / self.gain_eve
+        if ratio_bob > ratio_eve:
             raise ValueError(
-                "degradedness requires noise_bob/gain_bob <= noise_eve/gain_eve, got "
-                f"{noise_bob / gain_bob} > {noise_eve / gain_eve}"
+                f"degradedness requires noise_bob/gain_bob <= noise_eve/gain_eve, got {ratio_bob} > {ratio_eve}"
             )
-        object.__setattr__(self, "gain_bob", gain_bob)
-        object.__setattr__(self, "gain_eve", gain_eve)
-        object.__setattr__(self, "noise_bob", noise_bob)
-        object.__setattr__(self, "noise_eve", noise_eve)
-        object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianWiretapParams is immutable")
 
     @property
     def snr_bob(self):
@@ -66,12 +64,6 @@ class GaussianWiretapParams:
     @property
     def snr_eve(self):
         return self.gain_eve**2 * self.gamma / self.noise_eve**2
-
-    def __repr__(self):
-        return (
-            f"GaussianWiretapParams(gain_bob={self.gain_bob}, gain_eve={self.gain_eve}, "
-            f"noise_bob={self.noise_bob}, noise_eve={self.noise_eve}, gamma={self.gamma})"
-        )
 
 
 def capacity(params):
@@ -95,16 +87,14 @@ def _gallager_form(snr, beta):
     return first + 0.5 * math.log(inside)
 
 
-def _parametric_reliability_rate(snr, rho):
-    return 0.5 * math.log1p(snr / (1.0 + rho)) - rho * snr / (
-        2.0 * (1.0 + rho) * (1.0 + rho + snr)
-    )
+def _parametric_rate(snr, rho):
+    """Rate of the shared parametric form: reliability at +rho, secrecy at -rho."""
+    return 0.5 * math.log1p(snr / (1.0 + rho)) - rho * snr / (2.0 * (1.0 + rho) * (1.0 + rho + snr))
 
 
-def _parametric_secrecy_rate(snr, rho):
-    return 0.5 * math.log1p(snr / (1.0 - rho)) + rho * snr / (
-        2.0 * (1.0 - rho) * (1.0 - rho + snr)
-    )
+def _parametric_exponent(snr, rho):
+    """Exponent of the shared parametric form: reliability at +rho, secrecy at -rho."""
+    return rho * rho * snr / (2.0 * (1.0 + rho) * (1.0 + rho + snr))
 
 
 def critical_rates(params):
@@ -150,10 +140,8 @@ def reliability_forward_tilt(params, rate):
     if rate < r_crit:
         return 0.5 * math.log1p(0.5 * a) - rate
     rate = min(rate, cap)
-    rho = _invert_monotone(
-        lambda r: _parametric_reliability_rate(a, r), rate, 0.0, 1.0, decreasing=True
-    )
-    return rho * rho * a / (2.0 * (1.0 + rho) * (1.0 + rho + a))
+    rho = _invert_monotone(lambda r: _parametric_rate(a, r), rate, 0.0, 1.0, decreasing=True)
+    return _parametric_exponent(a, rho)
 
 
 def reliability_gallager(params, rate):
@@ -192,9 +180,7 @@ def secrecy_gallager_type(params, rate_e):
     rate_e = _check_secrecy_rate(params, rate_e)
     a = params.snr_eve
     hi = 1.0 - 1e-12
-    if _parametric_secrecy_rate(a, hi) < rate_e:
+    if _parametric_rate(a, -hi) < rate_e:
         raise ValueError(f"resolvability rate {rate_e} beyond the invertible range")
-    rho = _invert_monotone(
-        lambda r: _parametric_secrecy_rate(a, r), rate_e, 0.0, hi, decreasing=False
-    )
-    return rho * rho * a / (2.0 * (1.0 - rho) * (1.0 - rho + a))
+    rho = _invert_monotone(lambda r: _parametric_rate(a, -r), rate_e, 0.0, hi, decreasing=False)
+    return _parametric_exponent(a, -rho)

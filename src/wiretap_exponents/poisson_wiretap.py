@@ -22,24 +22,30 @@ s^a * log(s) -> 0.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel_core import CostedInput, DiscreteChannel, WiretapPair
+from .channel_core import CostedInput, DiscreteChannel, WiretapPair, _finite_float, _frozen_array, _rebuild
 from .exponent_engine import ExponentCurve, RHO_EPS
 from .solvers import bisect_root
 
 
+@dataclass(frozen=True, slots=True)
 class PoissonWiretapParams:
     """Peak rates, dark currents, and the duty-cycle cap of a Poisson pair."""
 
-    __slots__ = ("peak_bob", "peak_eve", "dark_bob", "dark_eve", "gamma")
+    peak_bob: float
+    peak_eve: float
+    dark_bob: float
+    dark_eve: float
+    gamma: float
 
-    def __init__(self, peak_bob, peak_eve, dark_bob, dark_eve, gamma):
-        peak_bob, peak_eve = float(peak_bob), float(peak_eve)
-        dark_bob, dark_eve = float(dark_bob), float(dark_eve)
-        gamma = float(gamma)
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _finite_float(getattr(self, f.name), f.name))
+        peak_bob, peak_eve = self.peak_bob, self.peak_eve
+        dark_bob, dark_eve, gamma = self.dark_bob, self.dark_eve, self.gamma
         if peak_bob <= 0.0 or peak_eve <= 0.0:
             raise ValueError("peak rates must be positive")
         if dark_bob < 0.0 or dark_eve < 0.0:
@@ -59,14 +65,6 @@ class PoissonWiretapParams:
             )
         if peak_bob == peak_eve and abs(lhs - rhs) <= ratio_tol:
             raise ValueError("the two channels are identical; need one strict inequality")
-        object.__setattr__(self, "peak_bob", peak_bob)
-        object.__setattr__(self, "peak_eve", peak_eve)
-        object.__setattr__(self, "dark_bob", dark_bob)
-        object.__setattr__(self, "dark_eve", dark_eve)
-        object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonWiretapParams is immutable")
 
     @property
     def s_bob(self):
@@ -76,14 +74,8 @@ class PoissonWiretapParams:
     def s_eve(self):
         return self.dark_eve / self.peak_eve
 
-    def __repr__(self):
-        return (
-            f"PoissonWiretapParams(peak_bob={self.peak_bob}, peak_eve={self.peak_eve}, "
-            f"dark_bob={self.dark_bob}, dark_eve={self.dark_eve}, gamma={self.gamma})"
-        )
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DiscretizedPoisson:
     """Binary wiretap pair produced by time slicing, plus its cost data."""
 
@@ -91,6 +83,11 @@ class DiscretizedPoisson:
     costs: np.ndarray
     gamma: float
     delta: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "costs", _frozen_array(self.costs, "costs"))
+
+    __reduce__ = _rebuild
 
     def make_input(self, q_on):
         """CostedInput turning a duty probability into a binary input law."""
@@ -286,20 +283,18 @@ def capacity(params):
     return PoissonCapacity(information_gap(params, q_capped), q_star, q_capped, residual)
 
 
+@dataclass(frozen=True, slots=True)
 class ConcatenationParams:
     """Binary auxiliary prefix: on-probabilities a (input on) and b (input off)."""
 
-    __slots__ = ("a", "b")
+    a: float
+    b: float
 
-    def __init__(self, a, b):
-        a, b = float(a), float(b)
-        if not (0.0 <= b < a <= 1.0):
-            raise ValueError(f"need 0 <= b < a <= 1, got a={a}, b={b}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConcatenationParams is immutable")
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _finite_float(getattr(self, f.name), f.name))
+        if not (0.0 <= self.b < self.a <= 1.0):
+            raise ValueError(f"need 0 <= b < a <= 1, got a={self.a}, b={self.b}")
 
     def channel(self):
         return DiscreteChannel([[1.0 - self.b, self.b], [1.0 - self.a, self.a]])

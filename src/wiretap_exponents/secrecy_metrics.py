@@ -16,38 +16,36 @@ zero for the absolute-continuity checks.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_core import _as_prob_vector
+from .channel_core import _as_prob_vector, _frozen_array, _rebuild
 
 ZERO_MASS = 1e-300
 IDENTITY_TOL = 1e-10
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class OutputEnsemble:
     """M output distributions over a shared finite alphabet plus a target."""
 
-    __slots__ = ("members", "target")
+    members: np.ndarray
+    target: np.ndarray
 
-    def __init__(self, members, target):
-        members = np.asarray(members, dtype=np.float64)
+    def __post_init__(self):
+        members = _frozen_array(self.members, "members")
         if members.ndim != 2 or members.size == 0:
             raise ValueError(f"members must be a non-empty 2-D array, got shape {members.shape}")
         for i, row in enumerate(members):
             _as_prob_vector(row, f"member {i}")
-        target = _as_prob_vector(target, "target")
+        target = _as_prob_vector(_frozen_array(self.target, "target"), "target")
         if target.shape[0] != members.shape[1]:
             raise ValueError("target alphabet does not match the members")
-        members = members.copy()
-        target = target.copy()
-        members.flags.writeable = False
-        target.flags.writeable = False
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "target", target)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OutputEnsemble is immutable")
+    __reduce__ = _rebuild
 
     @property
     def size(self):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from wiretap_exponents import cli
+from wiretap_exponents import cli, figures
 from wiretap_exponents.exponent_engine import ExponentCurve
 
 CONFIG = {
@@ -107,6 +107,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "rate,exponent" in out
 
+    @pytest.mark.parametrize(
+        "action, variant, fig_id, curve",
+        [
+            ("reliability", "forward", 10, "reliability_parametric"),
+            ("reliability", "gallager", 10, "reliability_explicit"),
+            ("secrecy", "forward", 11, "secrecy_explicit"),
+            ("secrecy", "gallager", 11, "secrecy_parametric"),
+        ],
+    )
+    def test_gaussian_curve_matches_figure(self, action, variant, fig_id, curve, tmp_path):
+        out = tmp_path / "curve.csv"
+        setup = ["--Ay", "1", "--Az", "0.5", "--sy", "0.5", "--sz", "0.8", "--gamma", "0.5"]
+        code = cli.main(["gaussian", action, "--variant", variant, *setup, "--points", "9", "--out", str(out)])
+        assert code == 0
+        rates, exps = cli.read_curve_csv(out)
+        expected = figures.figure_data(fig_id, points=9).curve(curve)
+        assert np.array_equal(rates, expected.rates)
+        assert np.array_equal(exps, expected.exponents)
+
+    def test_selftest_fast(self, capsys):
+        assert cli.main(["selftest", "--fast"]) == 0
+        assert "OK (0 failing)" in capsys.readouterr().out
+
     def test_ensemble_report(self, capsys):
         code = cli.main(
             ["ensemble", "--n", "3", "--M", "2", "--L", "2", "--eps-y", "0.1", "--eps-z", "0.3"]
@@ -154,6 +177,42 @@ class TestExitCodes:
         proc = run_cli(["figures", "--which", "99", "--out-dir", str(tmp_path)])
         assert proc.returncode == 2
         assert "valid ids" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poisson", "capacity", "--Ay", "nan", "--Az", "5", "--ly", "0.5", "--lz", "1.5", "--gamma", "0.5"],
+            ["poisson", "capacity", "--Ay", "12", "--Az", "5", "--ly", "inf", "--lz", "inf", "--gamma", "0.5"],
+            ["gaussian", "capacity", "--Ay", "nan", "--Az", "0.5", "--sy", "0.5", "--sz", "0.8", "--gamma", "0.5"],
+        ],
+    )
+    def test_non_finite_flag_is_two(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["capacity", "exponents"])
+    def test_non_finite_config_is_two(self, command, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({**CONFIG, "gamma": float("nan")}))
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tradeoff", "--config", "c.json", "--mechanism", "rate_shift", "--sweep", "0.05", "--format", "csv"],
+            ["selftest", "--out", "report.txt"],
+            ["capacity", "--config", "c.json", "--points", "5"],
+            ["ensemble", "--n", "3", "--M", "2", "--L", "2", "--eps-y", "0.1", "--eps-z", "0.3", "--format", "json"],
+            ["figures", "--seed", "1"],
+            ["gaussian", "capacity", "--Ay", "1", "--Az", "0.5", "--sy", "0.5", "--sz", "0.8", "--gamma", "0.5",
+             "--seed", "1"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_one(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
 
     def test_bad_config_key_is_two(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,0 +1,139 @@
+"""Contract shared by the immutable value types.
+
+Every case builds its object from a caller-owned array (or from scalars
+only), so the same table checks frozen attributes, read-only array
+fields, pickle and deepcopy round trips and isolation from the caller's
+array.
+"""
+
+import copy
+import dataclasses
+import math
+import pickle
+
+import numpy as np
+import pytest
+
+from wiretap_exponents import ensemble_sim
+from wiretap_exponents import gaussian_wiretap as gw
+from wiretap_exponents import poisson_wiretap as pw
+from wiretap_exponents.channel_core import CostedInput, DiscreteChannel, WiretapPair, parse_wiretap_config
+from wiretap_exponents.exponent_engine import CapacityResult, ExponentQuery
+from wiretap_exponents.secrecy_metrics import OutputEnsemble
+
+NAN = math.nan
+INF = math.inf
+
+
+def _pair():
+    return WiretapPair(DiscreteChannel.bsc(0.1), DiscreteChannel.bsc(0.3))
+
+
+# name -> (caller array or None, build(array) -> value)
+CASES = {
+    "DiscreteChannel": ([[0.9, 0.1], [0.2, 0.8]], DiscreteChannel),
+    "CostedInput": ([0.6, 0.4], lambda a: CostedInput(a, a + 1.0, 2.0)),
+    "WiretapPair": (None, lambda _: _pair()),
+    "ExponentQuery": ([1.0, 2.0], lambda a: ExponentQuery(_pair(), [0.6, 0.4], a, 1.4, 0.1, 0.2)),
+    "EnsembleSpec": ([0.5, 0.5], lambda a: ensemble_sim.EnsembleSpec(_pair(), 3, 2, 2, a)),
+    "OutputEnsemble": ([[0.5, 0.5], [0.2, 0.8]], lambda a: OutputEnsemble(a, a[0])),
+    "PoissonWiretapParams": (None, lambda _: pw.PoissonWiretapParams(12.0, 5.0, 0.5, 1.5, 0.5)),
+    "GaussianWiretapParams": (None, lambda _: gw.GaussianWiretapParams(1.0, 0.5, 0.5, 0.8, 0.5)),
+    "ConcatenationParams": (None, lambda _: pw.ConcatenationParams(0.98, 0.02)),
+    "CapacityResult": ([0.6, 0.4], lambda a: CapacityResult(0.2, a, None, True, False, 0.01)),
+    "DiscretizedPoisson": ([0.0, 1.0], lambda a: pw.DiscretizedPoisson(_pair(), a, 0.5, 1e-3)),
+}
+
+
+def _build(name):
+    array, build = CASES[name]
+    array = None if array is None else np.array(array, dtype=np.float64)
+    return array, build(array)
+
+
+def _field_values(value):
+    return [getattr(value, f.name) for f in dataclasses.fields(value)]
+
+
+def _content(value):
+    """Field values all the way down, with arrays as nested lists."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, *map(_content, _field_values(value)))
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def _array_fields(value):
+    return [v for v in _field_values(value) if isinstance(v, np.ndarray)]
+
+
+@pytest.mark.parametrize("name", CASES)
+class TestValueTypeContract:
+    def test_attributes_cannot_be_assigned(self, name):
+        _, value = _build(name)
+        for f in dataclasses.fields(value):
+            with pytest.raises(AttributeError):
+                setattr(value, f.name, getattr(value, f.name))
+
+    def test_array_fields_are_read_only(self, name):
+        _, value = _build(name)
+        for a in _array_fields(value):
+            assert a.dtype == np.float64 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.5
+
+    def test_pickle_and_deepcopy_round_trip(self, name):
+        _, value = _build(name)
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(clone) is type(value)
+            assert _content(clone) == _content(value)
+            assert all(not a.flags.writeable for a in _array_fields(clone))
+            assert value == value and isinstance(value == clone, bool)
+            hash(value)
+
+@pytest.mark.parametrize("name", [name for name, (array, _) in CASES.items() if array is not None])
+def test_caller_array_is_not_aliased(name):
+    array, value = _build(name)
+    before = _content(value)
+    array[...] = 0.25
+    assert _content(value) == before
+
+
+NON_FINITE = {
+    "DiscreteChannel": lambda: DiscreteChannel([[NAN, 1.0], [0.5, 0.5]]),
+    "CostedInput probs": lambda: CostedInput([0.5, NAN], [1.0, 2.0], 2.0),
+    "CostedInput costs": lambda: CostedInput([0.5, 0.5], [1.0, INF], 2.0),
+    "CostedInput gamma": lambda: CostedInput([0.5, 0.5], [1.0, 2.0], NAN),
+    "ExponentQuery costs": lambda: ExponentQuery(_pair(), [0.5, 0.5], [1.0, NAN], 2.0),
+    "ExponentQuery gamma": lambda: ExponentQuery(_pair(), [0.5, 0.5], [1.0, 2.0], INF),
+    "EnsembleSpec": lambda: ensemble_sim.EnsembleSpec(_pair(), 3, 2, 2, [NAN, 0.5]),
+    "OutputEnsemble members": lambda: OutputEnsemble([[NAN, 0.5]], [0.5, 0.5]),
+    "OutputEnsemble target": lambda: OutputEnsemble([[0.5, 0.5]], [0.5, NAN]),
+    "PoissonWiretapParams": lambda: pw.PoissonWiretapParams(12.0, 5.0, INF, INF, 0.5),
+    "GaussianWiretapParams": lambda: gw.GaussianWiretapParams(NAN, 0.5, 0.5, 0.8, 0.5),
+    "ConcatenationParams": lambda: pw.ConcatenationParams(NAN, 0.02),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_constructors_reject_non_finite(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+CONFIG = {
+    "bob": [[0.9, 0.1], [0.1, 0.9]],
+    "eve": [[0.7, 0.3], [0.3, 0.7]],
+    "costs": [1.0, 2.0],
+    "gamma": 1.4,
+    "q": [0.6, 0.4],
+}
+
+
+@pytest.mark.parametrize(
+    "key, bad", [("gamma", NAN), ("gamma", INF), ("costs", [1.0, NAN]), ("q", [NAN, 0.4])]
+)
+def test_config_rejects_non_finite(key, bad):
+    with pytest.raises(ValueError, match="finite"):
+        parse_wiretap_config({**CONFIG, key: bad})
