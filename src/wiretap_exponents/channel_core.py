@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .solvers import golden_min
+from .solvers import golden_min, scan_then_golden_max
 
 PROB_TOL = 1e-12
 MORE_CAPABLE_TOL = 1e-9
@@ -50,12 +50,12 @@ def _as_prob_vector(q, name="distribution"):
         raise ValueError(f"{name} must be a 1-D vector, got shape {q.shape}")
     if np.any(q < -PROB_TOL) or np.any(q > 1.0 + PROB_TOL):
         raise ValueError(f"{name} has entries outside [0, 1]: {q}")
-    if abs(float(q.sum()) - 1.0) > PROB_TOL:
-        raise ValueError(f"{name} sums to {q.sum()}, expected 1 within {PROB_TOL}")
+    if not abs(float(q.sum()) - 1.0) <= PROB_TOL:
+        raise ValueError(f"{name} must be finite and sum to 1 within {PROB_TOL}, got sum {q.sum()}")
     return q
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class DiscreteChannel:
     """A discrete memoryless channel W(output | input).
 
@@ -104,7 +104,7 @@ class DiscreteChannel:
         return f"DiscreteChannel({self.rows.tolist()})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class CostedInput:
     """Input distribution with a per-letter cost and an average-cost cap.
 
@@ -141,7 +141,7 @@ class CostedInput:
         return float(self.probs @ self.costs)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class WiretapPair:
     """A pair of channels sharing one input: ``bob`` legitimate, ``eve`` tapped."""
 
@@ -202,21 +202,23 @@ def lifted_cost(aux, costs):
     return aux.rows @ costs
 
 
+@dataclass(frozen=True, eq=False)
 class MoreCapableResult:
     """Outcome of the numerical more-capable scan."""
 
-    __slots__ = ("holds", "worst_input", "min_gap")
+    holds: bool
+    worst_input: np.ndarray
+    min_gap: float
 
-    def __init__(self, holds, worst_input, min_gap):
-        self.holds = bool(holds)
-        self.worst_input = np.asarray(worst_input, dtype=np.float64)
-        self.min_gap = float(min_gap)
+    def __post_init__(self):
+        object.__setattr__(self, "holds", bool(self.holds))
+        object.__setattr__(self, "worst_input", _frozen_array(self.worst_input, "worst input"))
+        object.__setattr__(self, "min_gap", _finite_float(self.min_gap, "min gap"))
+
+    __reduce__ = _rebuild
 
     def __bool__(self):
         return self.holds
-
-    def __repr__(self):
-        return f"MoreCapableResult(holds={self.holds}, min_gap={self.min_gap:.3e}, worst_input={self.worst_input.tolist()})"
 
 
 def _info_gap(q, pair):
@@ -252,13 +254,10 @@ def is_more_capable(pair, grid_resolution=1001):
     """
     k = pair.num_inputs
     if k == 2:
-        qs = np.linspace(0.0, 1.0, grid_resolution)
-        gaps = [_info_gap(np.array([1.0 - t, t]), pair) for t in qs]
-        i = int(np.argmin(gaps))
-        lo = qs[max(i - 1, 0)]
-        hi = qs[min(i + 1, grid_resolution - 1)]
-        t_star, gap = golden_min(lambda t: _info_gap(np.array([1.0 - t, t]), pair), lo, hi, tol=1e-12)
-        worst = np.array([1.0 - t_star, t_star])
+        t_star, neg = scan_then_golden_max(
+            lambda t: -_info_gap(np.array([1.0 - t, t]), pair), 0.0, 1.0, scan_points=grid_resolution, tol=1e-12
+        )
+        worst, gap = np.array([1.0 - t_star, t_star]), -neg
     else:
         # Heuristic for >2 letters: coarse simplex sweep, then coordinate
         # golden refinement around the worst grid point.

@@ -29,7 +29,14 @@ MAX_CODEBOOK = 8
 MAX_DIVERGENCE_WORK = 1 << 25
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+def _whole_number(value, name):
+    # is_integer() is False for NaN and inf as well.
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be a finite whole number, got {value}")
+    return int(value)
+
+
+@dataclass(frozen=True, eq=False)
 class EnsembleSpec:
     """Parameters of one exact-enumeration run.
 
@@ -49,7 +56,7 @@ class EnsembleSpec:
         pair = self.pair
         if pair.bob.num_inputs != 2 or pair.bob.num_outputs != 2 or pair.eve.num_outputs != 2:
             raise ValueError("exact enumeration supports binary-input binary-output pairs only")
-        n, M, L = int(self.n), int(self.M), int(self.L)
+        n, M, L = (_whole_number(getattr(self, name), name) for name in ("n", "M", "L"))
         if not 1 <= n <= MAX_BLOCK:
             raise ValueError(f"block length must be in [1, {MAX_BLOCK}], got {n}")
         if M < 1 or L < 1 or M * L > MAX_CODEBOOK:

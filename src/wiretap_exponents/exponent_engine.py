@@ -40,7 +40,7 @@ from .channel_core import (
     lifted_cost,
     mutual_information,
 )
-from .solvers import bisect_boundary, golden_max, scan_then_golden_max
+from .solvers import bisect_boundary, scan_then_golden_max
 
 RHO_EPS = 1e-9
 TILT_CAP_SCALE = 50.0
@@ -48,7 +48,7 @@ ZERO_RATE_THRESHOLD = 1e-15
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ExponentQuery:
     """Everything an exponent evaluation needs: channels, input, costs, rates.
 
@@ -428,6 +428,7 @@ def secrecy_exponent(query):
     return secrecy_optimum(query).value
 
 
+@dataclass(frozen=True, eq=False)
 class ExponentCurve:
     """Ordered (rate, exponent) samples with optimizer diagnostics.
 
@@ -437,22 +438,24 @@ class ExponentCurve:
     raw unclamped objective.
     """
 
-    __slots__ = ("rates", "exponents", "meta")
+    rates: np.ndarray
+    exponents: np.ndarray
+    meta: dict | None = None
 
-    def __init__(self, rates, exponents, meta=None):
-        rates = np.asarray(rates, dtype=np.float64)
-        exponents = np.asarray(exponents, dtype=np.float64)
+    def __post_init__(self):
+        rates = _frozen_array(self.rates, "rates")
+        exponents = _frozen_array(self.exponents, "exponents")
         if rates.ndim != 1 or rates.shape != exponents.shape:
             raise ValueError("rates and exponents must be matching 1-D arrays")
-        if not (np.all(np.isfinite(rates)) and np.all(np.isfinite(exponents))):
-            raise ValueError("rates and exponents must be finite")
         if rates.size >= 2 and np.any(np.diff(rates) <= 0.0):
             raise ValueError("rates must be strictly increasing")
         if np.any(exponents < -1e-12):
             raise ValueError("exponents must be nonnegative")
-        self.rates = rates
-        self.exponents = exponents
-        self.meta = dict(meta or {})
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "meta", dict(self.meta or {}))
+
+    __reduce__ = _rebuild
 
     def __len__(self):
         return int(self.rates.size)
@@ -519,7 +522,7 @@ def secrecy_zero_rate(query, threshold=ZERO_RATE_THRESHOLD, tol=1e-9):
     return bisect_boundary(lambda rate: _optimize(query, "eve", rate).value > threshold, 0.0, hi, tol=tol)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class CapacityResult:
     """Secrecy capacity search outcome.
 
@@ -562,16 +565,7 @@ def _info_gap_of(pair):
 def _best_input_binary(pair, costs, gamma, grid=1001):
     lo, hi = _feasible_binary_interval(costs, gamma)
     gap = _info_gap_of(pair)
-
-    def g(t):
-        return gap(np.array([1.0 - t, t]))
-
-    ts = np.linspace(lo, hi, grid)
-    vals = [g(t) for t in ts]
-    k = int(np.argmax(vals))
-    a = ts[max(k - 1, 0)]
-    b = ts[min(k + 1, grid - 1)]
-    t_star, best = golden_max(g, a, b, tol=1e-12)
+    t_star, best = scan_then_golden_max(lambda t: gap(np.array([1.0 - t, t])), lo, hi, scan_points=grid, tol=1e-12)
     return np.array([1.0 - t_star, t_star]), best
 
 

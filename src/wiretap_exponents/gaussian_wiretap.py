@@ -36,7 +36,7 @@ from .solvers import bisect_root
 CRITICAL_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GaussianWiretapParams:
     """Attenuations, noise deviations, and the power cap of a Gaussian pair."""
 

@@ -31,7 +31,7 @@ from .exponent_engine import ExponentCurve, RHO_EPS
 from .solvers import bisect_root
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PoissonWiretapParams:
     """Peak rates, dark currents, and the duty-cycle cap of a Poisson pair."""
 
@@ -75,7 +75,7 @@ class PoissonWiretapParams:
         return self.dark_eve / self.peak_eve
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class DiscretizedPoisson:
     """Binary wiretap pair produced by time slicing, plus its cost data."""
 
@@ -283,7 +283,7 @@ def capacity(params):
     return PoissonCapacity(information_gap(params, q_capped), q_star, q_capped, residual)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ConcatenationParams:
     """Binary auxiliary prefix: on-probabilities a (input on) and b (input off)."""
 

@@ -26,7 +26,7 @@ ZERO_MASS = 1e-300
 IDENTITY_TOL = 1e-10
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class OutputEnsemble:
     """M output distributions over a shared finite alphabet plus a target."""
 

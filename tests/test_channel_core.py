@@ -98,6 +98,11 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information([0.5, 0.3, 0.2], DiscreteChannel.bsc(0.1))
 
+    @pytest.mark.parametrize("q", [[math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan]])
+    def test_non_finite_input_law_rejected(self, q):
+        with pytest.raises(ValueError, match="finite"):
+            mutual_information(q, DiscreteChannel.bsc(0.1))
+
 
 class TestConcatenate:
     def test_identity_prefix_is_noop(self):

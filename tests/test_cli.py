@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from wiretap_exponents import cli, figures
+from wiretap_exponents import cli, ensemble_sim, figures
 from wiretap_exponents.exponent_engine import ExponentCurve
 
 CONFIG = {
@@ -15,6 +16,17 @@ CONFIG = {
     "gamma": 1.4,
     "q": [0.6, 0.4],
 }
+
+
+SELFTEST_CHECKS = [
+    "channel_invariants",
+    "secrecy_measure_lattice",
+    "exponent_zero_crossings",
+    "ensemble_bound_certification",
+    "poisson_capacity",
+    "gaussian_identities",
+    "figure_shapes",
+]
 
 
 @pytest.fixture
@@ -128,7 +140,26 @@ class TestCommands:
 
     def test_selftest_fast(self, capsys):
         assert cli.main(["selftest", "--fast"]) == 0
-        assert "OK (0 failing)" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [f"PASS {name}" for name in SELFTEST_CHECKS]
+        assert lines[-1] == "OK (0 failing)"
+
+    @pytest.mark.parametrize(
+        "module, attr, fake, name",
+        [
+            (figures, "shape_report", lambda data: {"forced": (False, "forced failure")}, "figure_shapes"),
+            (ensemble_sim, "certification_report", lambda spec: {"slacks": {"error": math.nan}},
+             "ensemble_bound_certification"),
+        ],
+        ids=["failing_shape_check", "nan_slack"],
+    )
+    def test_selftest_reports_a_failing_check(self, monkeypatch, capsys, module, attr, fake, name):
+        monkeypatch.setattr(module, attr, fake)
+        assert cli.main(["selftest", "--fast"]) == cli.EXIT_PROPERTY
+        lines = capsys.readouterr().out.splitlines()
+        failing = [line for line in lines if line.startswith("FAIL ")]
+        assert len(failing) == 1 and failing[0].startswith(f"FAIL {name}: ")
+        assert len(lines) == len(SELFTEST_CHECKS) + 1 and lines[-1] == "FAILED (1 failing)"
 
     def test_ensemble_report(self, capsys):
         code = cli.main(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,13 @@ class TestSpecValidation:
             es.EnsembleSpec(pair(), 4, 4, 4, [0.5, 0.5])
         with pytest.raises(ValueError):
             es.EnsembleSpec(pair(), 4, 0, 1, [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "n, M, L", [(2.7, 1, 1), (math.inf, 1, 1), (3, math.nan, 1), (3, 1, 1.5), (3, 1, -math.inf), (10**400, 1, 1)]
+    )
+    def test_counts_must_be_finite_whole_numbers(self, n, M, L):
+        with pytest.raises(ValueError):
+            es.EnsembleSpec(pair(), n, M, L, [0.5, 0.5])
 
     def test_binary_only(self):
         tri = DiscreteChannel(np.ones((2, 3)) / 3)

@@ -17,8 +17,14 @@ import pytest
 from wiretap_exponents import ensemble_sim
 from wiretap_exponents import gaussian_wiretap as gw
 from wiretap_exponents import poisson_wiretap as pw
-from wiretap_exponents.channel_core import CostedInput, DiscreteChannel, WiretapPair, parse_wiretap_config
-from wiretap_exponents.exponent_engine import CapacityResult, ExponentQuery
+from wiretap_exponents.channel_core import (
+    CostedInput,
+    DiscreteChannel,
+    MoreCapableResult,
+    WiretapPair,
+    parse_wiretap_config,
+)
+from wiretap_exponents.exponent_engine import CapacityResult, ExponentCurve, ExponentQuery
 from wiretap_exponents.secrecy_metrics import OutputEnsemble
 
 NAN = math.nan
@@ -42,6 +48,8 @@ CASES = {
     "ConcatenationParams": (None, lambda _: pw.ConcatenationParams(0.98, 0.02)),
     "CapacityResult": ([0.6, 0.4], lambda a: CapacityResult(0.2, a, None, True, False, 0.01)),
     "DiscretizedPoisson": ([0.0, 1.0], lambda a: pw.DiscretizedPoisson(_pair(), a, 0.5, 1e-3)),
+    "ExponentCurve": ([0.1, 0.2], lambda a: ExponentCurve(a, a + 0.5, {"function": "reliability"})),
+    "MoreCapableResult": ([0.6, 0.4], lambda a: MoreCapableResult(True, a, 0.01)),
 }
 
 
@@ -72,9 +80,12 @@ def _array_fields(value):
 class TestValueTypeContract:
     def test_attributes_cannot_be_assigned(self, name):
         _, value = _build(name)
-        for f in dataclasses.fields(value):
+        properties = [n for n, v in vars(type(value)).items() if isinstance(v, property)]
+        for attr in [f.name for f in dataclasses.fields(value)] + properties + ["not_a_field"]:
             with pytest.raises(AttributeError):
-                setattr(value, f.name, getattr(value, f.name))
+                setattr(value, attr, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, attr)
 
     def test_array_fields_are_read_only(self, name):
         _, value = _build(name)
