@@ -21,12 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_core import WiretapPair, _as_prob_vector, _frozen_array, _rebuild
-from .exponent_engine import ExponentQuery, _envelope
+from .exponent_engine import ExponentQuery, _envelope, _optimize
 from .solvers import scan_then_golden_max
 
 MAX_BLOCK = 8
 MAX_CODEBOOK = 8
 MAX_DIVERGENCE_WORK = 1 << 25
+# Subcodes per pass of the divergence helper: at most 1024 * 8 * 256
+# gathered doubles (16 MB) at any n and L.
+DIVERGENCE_BLOCK = 1024
 
 
 def _whole_number(value, name):
@@ -72,42 +75,38 @@ class EnsembleSpec:
     __reduce__ = _rebuild
 
 
-def _pattern_counts(c, y, n):
-    # Counts of the four (input bit, output bit) patterns along the block.
-    mask = (1 << n) - 1
-    n11 = bin(c & y).count("1")
-    n10 = bin(c & ~y & mask).count("1")
-    n01 = bin(~c & y & mask).count("1")
-    n00 = n - n11 - n10 - n01
-    return n00, n01, n10, n11
+def _popcounts(n):
+    # Number of ones in each n-bit block 0 .. 2^n - 1.
+    return sum((np.arange(1 << n) >> bit) & 1 for bit in range(n))
+
+
+def _powers(p, n):
+    # p ** k for k = 0..n through Python's pow (the C library's), not a
+    # vectorised numpy power that may round differently.
+    return np.array([float(p) ** k for k in range(n + 1)])
 
 
 def _likelihood_table(channel, n):
     """W^n(y | c) for all codewords c and outputs y, as a 2^n x 2^n array.
 
-    Built from pattern counts with pow, so two blocks with the same
+    Every entry is the same ordered product of four per-letter powers
+    indexed by the block's pattern counts, so two blocks with the same
     pattern profile get bitwise-identical likelihoods; ML ties are then
     exact rather than float accidents.
     """
     w = channel.rows
-    size = 1 << n
-    table = np.empty((size, size))
-    for c in range(size):
-        for y in range(size):
-            n00, n01, n10, n11 = _pattern_counts(c, y, n)
-            table[c, y] = (
-                w[0, 0] ** n00 * w[0, 1] ** n01 * w[1, 0] ** n10 * w[1, 1] ** n11
-            )
-    return table
+    ones = _popcounts(n)
+    n11 = ones[np.bitwise_and.outer(np.arange(1 << n), np.arange(1 << n))]
+    n10, n01 = ones[:, None] - n11, ones - n11
+    return (
+        _powers(w[0, 0], n)[n - n11 - n10 - n01] * _powers(w[0, 1], n)[n01]
+        * _powers(w[1, 0], n)[n10] * _powers(w[1, 1], n)[n11]
+    )
 
 
 def _block_input_probs(q, n):
-    size = 1 << n
-    probs = np.empty(size)
-    for c in range(size):
-        ones = bin(c).count("1")
-        probs[c] = q[1] ** ones * q[0] ** (n - ones)
-    return probs
+    ones = _popcounts(n)
+    return _powers(q[1], n)[ones] * _powers(q[0], n)[n - ones]
 
 
 def exact_ensemble_error(spec):
@@ -120,16 +119,13 @@ def exact_ensemble_error(spec):
     competitor beats it with the probability mass above t (plus the mass
     at t for competitors with lower index).
     """
-    n, M, L = spec.n, spec.M, spec.L
-    ml = M * L
+    ml = spec.M * spec.L
     if ml == 1:
         return 0.0
-    lk = _likelihood_table(spec.pair.bob, n)
-    qn = _block_input_probs(spec.q, n)
-    size = 1 << n
+    lk = _likelihood_table(spec.pair.bob, spec.n)
+    qn = _block_input_probs(spec.q, spec.n)
     correct = 0.0
-    for y in range(size):
-        col = lk[:, y]
+    for col in lk.T:
         uniq, inv = np.unique(col, return_inverse=True)
         mass = np.zeros(uniq.size)
         np.add.at(mass, inv, qn)
@@ -148,51 +144,52 @@ def _divergence_work(n, L):
     return math.comb((1 << n) + L - 1, L) * (1 << n)
 
 
+def _subcode_divergences(lk, target, idx):
+    """D(mean of lk[idx[i]] || target) for each row i, DIVERGENCE_BLOCK rows at a time."""
+    divs = np.empty(len(idx))
+    for start in range(0, len(idx), DIVERGENCE_BLOCK):
+        rows = slice(start, start + DIVERGENCE_BLOCK)
+        mixtures = lk[idx[rows]].mean(axis=1)
+        positive = mixtures > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(positive, np.log(np.where(positive, mixtures, 1.0)) - np.log(target), 0.0)
+        divs[rows] = np.sum(mixtures * logs, axis=1)
+    return divs
+
+
 def exact_ensemble_divergence(spec):
     """Expected divergence of one subcode's output law from the target.
 
     The target is the tapped channel's output under the i.i.d. input
     law. Subcodes are exchangeable, so only the first is enumerated:
     every multiset of L codewords, weighted by its multinomial
-    probability, contributes D(mixture || target).
+    probability, contributes D(mixture || target), summed in
+    enumeration order.
     """
     n, L = spec.n, spec.L
     if _divergence_work(n, L) > MAX_DIVERGENCE_WORK:
         raise ValueError(f"divergence enumeration too large for n={n}, L={L}")
     lk = _likelihood_table(spec.pair.eve, n)
     qn = _block_input_probs(spec.q, n)
-    target = qn @ lk
-    support = [c for c in range(1 << n) if qn[c] > 0.0]
-    fact_l = math.factorial(L)
-    total = 0.0
-    for combo in itertools.combinations_with_replacement(support, L):
-        weight = fact_l
-        prev, run = None, 0
-        for c in combo:
-            weight *= qn[c]
-            if c == prev:
-                run += 1
-            else:
-                if run > 1:
-                    weight /= math.factorial(run)
-                prev, run = c, 1
-        if run > 1:
-            weight /= math.factorial(run)
-        mixture = lk[list(combo), :].sum(axis=0) / L
-        mask = mixture > 0.0
-        div = float(np.sum(mixture[mask] * (np.log(mixture[mask]) - np.log(target[mask]))))
-        total += weight * max(div, 0.0)
-    return total
+    support = np.flatnonzero(qn > 0.0).tolist()
+    multisets = itertools.chain.from_iterable(itertools.combinations_with_replacement(support, L))
+    idx = np.fromiter(multisets, dtype=np.intp).reshape(-1, L)
+    # Multinomial weights L! prod q(c) / prod (multiplicity)!, each
+    # factorial divided out where its run of equal entries ends.
+    fact = np.array([float(math.factorial(k)) for k in range(L + 1)])
+    weight, run = np.full(len(idx), fact[L]), np.zeros(len(idx), dtype=np.intp)
+    for j in range(L):
+        same = idx[:, j] == idx[:, j - 1] if j else False
+        weight = weight * qn[idx[:, j]] / np.where(same, 1.0, fact[run])
+        run = np.where(same, run + 1, 1)
+    divs = np.maximum(_subcode_divergences(lk, qn @ lk, idx), 0.0)
+    return float(np.cumsum(weight / fact[run] * divs)[-1])
 
 
-def _untilted_e0(spec, side):
-    """kappa -> E0 of one side at zero tilts, from the shared envelope.
-
-    The trivial cost (c identically 1 with cap 1) has zero tilt caps, so
-    the envelope's tilt search returns the untilted value exactly.
-    """
-    envelope = _envelope(ExponentQuery(spec.pair, spec.q, np.ones(2), 1.0), side)
-    return lambda kappa: envelope(kappa)[0]
+def _trivial_cost_query(spec):
+    # The trivial cost (c identically 1 with cap 1) has zero tilt caps, so
+    # the shared envelope of this query holds the untilted E0 exactly.
+    return ExponentQuery(spec.pair, spec.q, np.ones(2), 1.0)
 
 
 def _psi(rho, channel, q):
@@ -209,15 +206,12 @@ def _psi(rho, channel, q):
 
 
 def error_bound(spec):
-    """Exponential upper bound on the expected decoding error."""
-    e0 = _untilted_e0(spec, "bob")
-    log_ml = math.log(spec.M * spec.L)
+    """Exponential upper bound 2 exp(-n E_r(log(ML)/n)) on the expected decoding error.
 
-    def neg_exponent(rho):
-        return spec.n * e0(1.0 + rho) - rho * log_ml
-
-    _, best = scan_then_golden_max(neg_exponent, 0.0, 1.0, scan_points=17, tol=1e-12)
-    return 2.0 * math.exp(-best)
+    E_r is the untilted random-coding exponent from the shared rho search.
+    """
+    rate = math.log(spec.M * spec.L) / spec.n
+    return 2.0 * math.exp(-spec.n * _optimize(_trivial_cost_query(spec), "bob", rate).raw)
 
 
 def divergence_bounds(spec):
@@ -227,14 +221,14 @@ def divergence_bounds(spec):
     form is the one with a closed single-letter development.
     """
     n, L = spec.n, spec.L
-    e0 = _untilted_e0(spec, "eve")
+    envelope = _envelope(_trivial_cost_query(spec), "eve")
     log_l = math.log(L)
 
     def psi_neg(rho):
         return n * _psi(rho, spec.pair.eve, spec.q) + math.log(rho) + rho * log_l
 
     def phi_neg(rho):
-        return n * e0(1.0 - rho) + math.log(rho) + rho * log_l
+        return n * envelope(1.0 - rho)[0] + math.log(rho) + rho * log_l
 
     _, best_psi = scan_then_golden_max(psi_neg, 1e-6, 1.0, scan_points=33, tol=1e-12)
     _, best_phi = scan_then_golden_max(phi_neg, 1e-6, 1.0 - 1e-9, scan_points=33, tol=1e-12)
@@ -243,7 +237,7 @@ def divergence_bounds(spec):
 
 def holder_gap(spec, rho):
     """psi(rho) - phi(-rho) for the tapped channel; nonnegative for rho in (0,1)."""
-    return _psi(rho, spec.pair.eve, spec.q) - _untilted_e0(spec, "eve")(1.0 - rho)
+    return _psi(rho, spec.pair.eve, spec.q) - _envelope(_trivial_cost_query(spec), "eve")(1.0 - rho)[0]
 
 
 def mc_ensemble_error(spec, samples=100_000, seed=0):
@@ -276,12 +270,8 @@ def mc_ensemble_divergence(spec, samples=100_000, seed=0):
     rng = np.random.default_rng(seed)
     lk = _likelihood_table(spec.pair.eve, n)
     qn = _block_input_probs(spec.q, n)
-    target = qn @ lk
     idx = rng.choice(1 << n, size=(samples, L), p=qn)
-    mixtures = lk[idx, :].mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(mixtures > 0.0, np.log(np.where(mixtures > 0.0, mixtures, 1.0)) - np.log(target), 0.0)
-    divs = np.sum(mixtures * logs, axis=1)
+    divs = _subcode_divergences(lk, qn @ lk, idx)
     return float(divs.mean()), float(divs.std(ddof=1) / math.sqrt(samples))
 
 

@@ -25,6 +25,7 @@ and shared by every rate, curve and caller (``_Envelope``).
 import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,6 +46,8 @@ from .solvers import bisect_boundary, scan_then_golden_max
 RHO_EPS = 1e-9
 TILT_CAP_SCALE = 50.0
 ZERO_RATE_THRESHOLD = 1e-15
+ZERO_RATE_TOL = 1e-9
+TRADEOFF_TOL = 1e-9
 _NEG_INF = float("-inf")
 
 
@@ -435,12 +438,13 @@ class ExponentCurve:
     Rates and exponents must be finite, rates strictly increasing and
     exponents nonnegative (within 1e-12); ``meta`` carries the function
     name, parameters, and per-point argmax values of (rho, r, s) plus the
-    raw unclamped objective.
+    raw unclamped objective, as a read-only mapping whose list values are
+    stored as tuples.
     """
 
     rates: np.ndarray
     exponents: np.ndarray
-    meta: dict | None = None
+    meta: MappingProxyType | None = None
 
     def __post_init__(self):
         rates = _frozen_array(self.rates, "rates")
@@ -453,9 +457,12 @@ class ExponentCurve:
             raise ValueError("exponents must be nonnegative")
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "meta", dict(self.meta or {}))
+        meta = {k: tuple(v) if isinstance(v, list) else v for k, v in (self.meta or {}).items()}
+        object.__setattr__(self, "meta", MappingProxyType(meta))
 
-    __reduce__ = _rebuild
+    def __reduce__(self):
+        # A mappingproxy does not pickle; the constructor freezes the plain dict again.
+        return type(self), (self.rates, self.exponents, dict(self.meta))
 
     def __len__(self):
         return int(self.rates.size)
@@ -497,7 +504,7 @@ def secrecy_curve(query, rates):
     return _curve(query, "eve", rates, "secrecy")
 
 
-def reliability_zero_rate(query, threshold=ZERO_RATE_THRESHOLD, tol=1e-9):
+def reliability_zero_rate(query):
     """Rate at which the reliability exponent vanishes.
 
     Located by bisection on the rate axis with a near-machine positivity
@@ -508,18 +515,22 @@ def reliability_zero_rate(query, threshold=ZERO_RATE_THRESHOLD, tol=1e-9):
     if info <= 0.0:
         return 0.0
     hi = 1.05 * info + 0.01
-    if _optimize(query, "bob", 0.0).value < threshold:
+    if _optimize(query, "bob", 0.0).value < ZERO_RATE_THRESHOLD:
         return 0.0
-    return bisect_boundary(lambda rate: _optimize(query, "bob", rate).value < threshold, 0.0, hi, tol=tol)
+    return bisect_boundary(
+        lambda rate: _optimize(query, "bob", rate).value < ZERO_RATE_THRESHOLD, 0.0, hi, tol=ZERO_RATE_TOL
+    )
 
 
-def secrecy_zero_rate(query, threshold=ZERO_RATE_THRESHOLD, tol=1e-9):
+def secrecy_zero_rate(query):
     """Largest rate at which the secrecy exponent is still zero."""
     info = query.mutual_information("eve")
     hi = 1.05 * info + 0.01
-    if _optimize(query, "eve", hi).value <= threshold:
+    if _optimize(query, "eve", hi).value <= ZERO_RATE_THRESHOLD:
         return hi
-    return bisect_boundary(lambda rate: _optimize(query, "eve", rate).value > threshold, 0.0, hi, tol=tol)
+    return bisect_boundary(
+        lambda rate: _optimize(query, "eve", rate).value > ZERO_RATE_THRESHOLD, 0.0, hi, tol=ZERO_RATE_TOL
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -740,7 +751,7 @@ def _pointwise_slack(hi_curve, lo_curve):
 MECHANISMS = ("rate_shift", "rate_exchange", "concatenate", "cost_change")
 
 
-def tradeoff_scenarios(query, mechanism, sweep, points=21, tol=1e-9):
+def tradeoff_scenarios(query, mechanism, sweep, points=21):
     """Generate paired exponent curves under one of four control mechanisms.
 
     * ``rate_shift``: move the resolvability rate by each offset in the
@@ -776,8 +787,8 @@ def tradeoff_scenarios(query, mechanism, sweep, points=21, tol=1e-9):
         for delta in sweep:
             f, h = curves(query, f_offset=delta, h_offset=delta)
             checks = {
-                "reliability_nonincreasing_in_shift": _ordered(prev_f, f, tol),
-                "secrecy_nondecreasing_in_shift": _ordered(h, prev_h, tol),
+                "reliability_nonincreasing_in_shift": _ordered(prev_f, f),
+                "secrecy_nondecreasing_in_shift": _ordered(h, prev_h),
             }
             scenarios.append(TradeoffScenario(f"shift+{delta:g}", f, h, checks))
             prev_f, prev_h = f, h
@@ -787,7 +798,7 @@ def tradeoff_scenarios(query, mechanism, sweep, points=21, tol=1e-9):
             diff = float(np.max(np.abs(f.exponents - base_f.exponents)))
             checks = {
                 "reliability_invariant": (diff == 0.0, -diff),
-                "secrecy_nondecreasing_in_shift": _ordered(h, base_h, tol),
+                "secrecy_nondecreasing_in_shift": _ordered(h, base_h),
             }
             scenarios.append(TradeoffScenario(f"exchange+{delta:g}", f, h, checks))
     elif mechanism == "concatenate":
@@ -809,8 +820,8 @@ def tradeoff_scenarios(query, mechanism, sweep, points=21, tol=1e-9):
             )
             f_plus, h_plus = curves(q_plus)
             checks = {
-                "reliability_drops": _ordered(base_f, f_plus, tol),
-                "secrecy_rises": _ordered(h_plus, base_h, tol),
+                "reliability_drops": _ordered(base_f, f_plus),
+                "secrecy_rises": _ordered(h_plus, base_h),
             }
             scenarios.append(TradeoffScenario(f"prefix_bsc_{eps:g}", f_plus, h_plus, checks))
     else:  # cost_change
@@ -830,14 +841,14 @@ def tradeoff_scenarios(query, mechanism, sweep, points=21, tol=1e-9):
             checks = {}
             if prev is not None:
                 checks = {
-                    "reliability_nondecreasing_in_cap": _ordered(f, prev[0], tol),
-                    "secrecy_nonincreasing_in_cap": _ordered(prev[1], h, tol),
+                    "reliability_nondecreasing_in_cap": _ordered(f, prev[0]),
+                    "secrecy_nonincreasing_in_cap": _ordered(prev[1], h),
                 }
             scenarios.append(TradeoffScenario(f"cap_{cap:g}", f, h, checks))
             prev = (f, h)
     return scenarios
 
 
-def _ordered(hi_curve, lo_curve, tol):
+def _ordered(hi_curve, lo_curve):
     slack = _pointwise_slack(hi_curve, lo_curve)
-    return slack >= -tol, slack
+    return slack >= -TRADEOFF_TOL, slack

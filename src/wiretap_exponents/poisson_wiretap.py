@@ -14,6 +14,11 @@ dark-to-peak ratio for the legitimate receiver; the constructor rejects
 parameter sets without it (with at least one strict inequality), since
 every formula below leans on the induced concavity.
 
+Both sides evaluate one form at tilt order kappa = 1 + rho, with rho
+positive for reliability and negative for secrecy: the exponent base
+``peak (q + s - g(kappa)^kappa)``, its rho-derivative as the paired rate,
+and the curve point ``(rate, base - rho * rate)``.
+
 Evaluations use the algebraic form
 ``((1-q) s^(1/k) + q (1+s)^(1/k))^k`` rather than the equivalent
 ratio form with (1 + 1/s) factors: it stays finite and continuous all
@@ -29,6 +34,9 @@ import numpy as np
 from .channel_core import CostedInput, DiscreteChannel, WiretapPair, _finite_float, _frozen_array, _rebuild
 from .exponent_engine import ExponentCurve, RHO_EPS
 from .solvers import bisect_root
+
+# The secrecy curves stop at this rho; its rates grow without bound as rho -> 1.
+SECRECY_RHO_MAX = 0.9
 
 
 @dataclass(frozen=True)
@@ -120,16 +128,26 @@ def _tilted_mean(q, s, kappa):
     return (1.0 - q) * s ** (1.0 / kappa) + q * (1.0 + s) ** (1.0 / kappa)
 
 
-def _tilted_mean_dkappa_part(q, s, kappa):
-    # d/drho of the mean, divided by the sign of d(1/kappa)/drho:
-    # (1-q) s^(1/k) log s + q (1+s)^(1/k) log(1+s), with s^a log s -> 0 at s=0.
-    first = 0.0 if s == 0.0 else (1.0 - q) * s ** (1.0 / kappa) * math.log(s)
-    return first + q * (1.0 + s) ** (1.0 / kappa) * math.log1p(s)
-
-
 def _check_duty(params, q):
     if not 0.0 <= q <= params.gamma:
         raise ValueError(f"duty probability must be in [0, {params.gamma}], got {q}")
+
+
+def _exponent_base(peak, s, q, rho):
+    # peak (q + s - g(kappa)^kappa) at kappa = 1 + rho; rho < 0 is the secrecy side.
+    kappa = 1.0 + rho
+    return peak * (q + s - _tilted_mean(q, s, kappa) ** kappa)
+
+
+def _rate(peak, s, q, rho):
+    # d/drho of the exponent base at kappa = 1 + rho, where
+    # dg/dkappa = -part / kappa^2 with part = (1-q) s^(1/k) log s + q (1+s)^(1/k) log(1+s)
+    # and s^a log s -> 0 at s = 0.
+    kappa = 1.0 + rho
+    g = _tilted_mean(q, s, kappa)
+    first = 0.0 if s == 0.0 else (1.0 - q) * s ** (1.0 / kappa) * math.log(s)
+    part = first + q * (1.0 + s) ** (1.0 / kappa) * math.log1p(s)
+    return peak * (g ** (kappa - 1.0) * part / kappa - g ** kappa * math.log(g))
 
 
 def reliability_exponent(params, q, rho):
@@ -137,9 +155,7 @@ def reliability_exponent(params, q, rho):
     _check_duty(params, q)
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    s = params.s_bob
-    kappa = 1.0 + rho
-    return params.peak_bob * (q + s - _tilted_mean(q, s, kappa) ** kappa)
+    return _exponent_base(params.peak_bob, params.s_bob, q, rho)
 
 
 def secrecy_exponent(params, q, rho):
@@ -147,9 +163,7 @@ def secrecy_exponent(params, q, rho):
     _check_duty(params, q)
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
-    s = params.s_eve
-    kappa = 1.0 - rho
-    return params.peak_eve * (q + s - _tilted_mean(q, s, kappa) ** kappa)
+    return _exponent_base(params.peak_eve, params.s_eve, q, -rho)
 
 
 def reliability_rate(params, q, rho):
@@ -159,23 +173,13 @@ def reliability_rate(params, q, rho):
     curve point at parameter rho sits at this rate.
     """
     _check_duty(params, q)
-    s = params.s_bob
-    kappa = 1.0 + rho
-    g = _tilted_mean(q, s, kappa)
-    gdot = -_tilted_mean_dkappa_part(q, s, kappa) / (kappa * kappa)
-    # d/drho of g^kappa = g^kappa log g + kappa g^(kappa-1) gdot
-    return -params.peak_bob * (g ** kappa * math.log(g) + kappa * g ** (kappa - 1.0) * gdot)
+    return _rate(params.peak_bob, params.s_bob, q, rho)
 
 
 def secrecy_rate(params, q, rho):
     """Resolvability rate (nats/second) paired with rho on the secrecy curve."""
     _check_duty(params, q)
-    s = params.s_eve
-    kappa = 1.0 - rho
-    g = _tilted_mean(q, s, kappa)
-    part = _tilted_mean_dkappa_part(q, s, kappa)
-    # -d/drho of g^kappa; d(kappa)/drho = -1 and d(1/kappa)/drho = 1/kappa^2
-    return params.peak_eve * (g ** (kappa - 1.0) * part / kappa - g ** kappa * math.log(g))
+    return _rate(params.peak_eve, params.s_eve, q, -rho)
 
 
 def _information_rate(peak, s, q):
@@ -198,6 +202,14 @@ def eve_zero_rate(params, q):
     return _information_rate(params.peak_eve, params.s_eve, q)
 
 
+def _parametric_curve(peak, s, q, rhos, name):
+    # The point at signed rho is (rate, base - rho * rate) on either side.
+    rates = [_rate(peak, s, q, float(r)) for r in rhos]
+    exps = [_exponent_base(peak, s, q, float(r)) - float(r) * rate for r, rate in zip(rhos, rates)]
+    meta = {"function": name, "q": q, "argmax_rho": np.abs(rhos).tolist()}
+    return ExponentCurve(rates, np.maximum(exps, 0.0), meta)
+
+
 def reliability_curve(params, q, points=60):
     """Parametric reliability curve swept over rho in [0, 1], per second.
 
@@ -205,31 +217,17 @@ def reliability_curve(params, q, points=60):
     """
     _check_duty(params, q)
     rhos = np.linspace(1.0, 0.0, points)
-    rates = [reliability_rate(params, q, float(r)) for r in rhos]
-    exps = [
-        reliability_exponent(params, q, float(r)) - float(r) * rate
-        for r, rate in zip(rhos, rates)
-    ]
-    meta = {"function": "reliability_per_second", "q": q, "argmax_rho": rhos.tolist()}
-    return ExponentCurve(rates, np.maximum(exps, 0.0), meta)
+    return _parametric_curve(params.peak_bob, params.s_bob, q, rhos, "reliability_per_second")
 
 
-def secrecy_curve(params, q, points=60, rho_max=0.9):
-    """Parametric secrecy curve swept over rho in (0, rho_max], per second.
+def secrecy_curve(params, q, points=60):
+    """Parametric secrecy curve swept over rho in (0, SECRECY_RHO_MAX], per second.
 
     Increasing and convex, leaving zero exactly at ``eve_zero_rate``.
     """
     _check_duty(params, q)
-    if not 0.0 < rho_max < 1.0:
-        raise ValueError("rho_max must be in (0, 1)")
-    rhos = np.linspace(RHO_EPS, rho_max, points)
-    rates = [secrecy_rate(params, q, float(r)) for r in rhos]
-    exps = [
-        secrecy_exponent(params, q, float(r)) + float(r) * rate
-        for r, rate in zip(rhos, rates)
-    ]
-    meta = {"function": "secrecy_per_second", "q": q, "argmax_rho": rhos.tolist()}
-    return ExponentCurve(rates, np.maximum(exps, 0.0), meta)
+    rhos = -np.linspace(RHO_EPS, SECRECY_RHO_MAX, points)
+    return _parametric_curve(params.peak_eve, params.s_eve, q, rhos, "secrecy_per_second")
 
 
 def information_gap(params, q):
@@ -326,10 +324,7 @@ def concatenated_capacity(params, conc):
     return capacity(concatenate_params(params, conc))
 
 
-def concatenated_curves(params, conc, q, points=60, rho_max=0.9):
+def concatenated_curves(params, conc, q, points=60):
     """Reliability and secrecy curves of the prefixed pair at duty q on the prefix input."""
     plus = concatenate_params(params, conc)
-    return (
-        reliability_curve(plus, q, points=points),
-        secrecy_curve(plus, q, points=points, rho_max=rho_max),
-    )
+    return reliability_curve(plus, q, points=points), secrecy_curve(plus, q, points=points)

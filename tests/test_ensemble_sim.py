@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -85,6 +86,79 @@ class TestExactDivergence:
         spec = es.EnsembleSpec(pair(), 8, 1, 8, [0.5, 0.5])
         with pytest.raises(ValueError, match="too large"):
             es.exact_ensemble_divergence(spec)
+
+
+def block_law(rows, n, c):
+    # W^n(. | c) by an explicit product over the n letters, output blocks
+    # in the same bit order as the module's (bit k of an index is letter k).
+    return np.array([
+        math.prod(rows[(c >> k) & 1][(y >> k) & 1] for k in range(n)) for y in range(1 << n)
+    ])
+
+
+def block_prob(q, n, c):
+    return math.prod(q[(c >> k) & 1] for k in range(n))
+
+
+ORACLE_CASES = [
+    # (n, M, L, eps, q1): tiny blocks, eps = 0 for exact ties, a skewed law
+    (2, 2, 1, 0.0, 0.5),
+    (2, 1, 3, 0.0, 0.2),
+    (2, 2, 2, 0.1, 0.5),
+    (3, 3, 1, 0.2, 0.3),
+    (3, 1, 2, 0.0, 0.8),
+    (2, 2, 2, 0.3, 0.1),
+]
+
+
+class TestBruteForceOracles:
+    """Exact values against sums over every ordered codebook or tuple."""
+
+    @pytest.mark.parametrize("n, M, L, eps, q1", ORACLE_CASES)
+    def test_error_matches_ml_decoding_of_every_codebook(self, n, M, L, eps, q1):
+        # A BSC with eps < 1/2 decodes ML by Hamming distance, so ties are
+        # decided on integers here; the lower index wins them.
+        spec = es.EnsembleSpec(pair(eps, 0.3), n, M, L, [1.0 - q1, q1])
+        q, rows, ml = spec.q, spec.pair.bob.rows, M * L
+        laws = [block_law(rows, n, c) for c in range(1 << n)]
+        total = 0.0
+        for book in itertools.product(range(1 << n), repeat=ml):
+            weight = math.prod(block_prob(q, n, c) for c in book)
+            for y in range(1 << n):
+                dist = [bin(c ^ y).count("1") for c in book]
+                decoded = dist.index(min(dist))
+                total += weight * sum(laws[c][y] for i, c in enumerate(book) if i != decoded) / ml
+        assert es.exact_ensemble_error(spec) == pytest.approx(total, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n, M, L, eps, q1", ORACLE_CASES)
+    def test_divergence_matches_sum_over_ordered_tuples(self, n, M, L, eps, q1):
+        # Ordered L-tuples of i.i.d. codewords need no multinomial weights.
+        spec = es.EnsembleSpec(pair(0.1, eps), n, M, L, [1.0 - q1, q1])
+        q, rows = spec.q, spec.pair.eve.rows
+        laws = [block_law(rows, n, c) for c in range(1 << n)]
+        target = sum(block_prob(q, n, c) * laws[c] for c in range(1 << n))
+        total = 0.0
+        for subcode in itertools.product(range(1 << n), repeat=L):
+            mixture = sum(laws[c] for c in subcode) / L
+            div = sum(m * math.log(m / t) for m, t in zip(mixture, target) if m > 0.0)
+            total += math.prod(block_prob(q, n, c) for c in subcode) * div
+        assert es.exact_ensemble_divergence(spec) == pytest.approx(total, rel=1e-12, abs=1e-15)
+
+    def test_equal_pattern_profiles_give_bitwise_equal_likelihoods(self):
+        n = 6
+        rows = np.array([[0.9, 0.1], [0.37, 0.63]])
+        table = es._likelihood_table(DiscreteChannel(rows), n)
+        groups = {}
+        for c in range(1 << n):
+            for y in range(1 << n):
+                profile = tuple(
+                    sum(((c >> k) & 1, (y >> k) & 1) == (a, b) for k in range(n)) for a in (0, 1) for b in (0, 1)
+                )
+                groups.setdefault(profile, set()).add(table[c, y])
+        assert len(groups) == math.comb(n + 3, 3)
+        assert all(len(values) == 1 for values in groups.values())
+        for c, y in ((0, 0), (5, 9), (63, 1), (42, 21)):
+            assert table[c, y] == pytest.approx(block_law(rows, n, c)[y], rel=1e-14)
 
 
 class TestBounds:

@@ -25,6 +25,7 @@ from wiretap_exponents import (
     tradeoff_scenarios,
 )
 from wiretap_exponents import exponent_engine as engine
+from wiretap_exponents import figures
 from wiretap_exponents.channel_core import lifted_cost
 from wiretap_exponents.exponent_engine import (
     RHO_EPS,
@@ -427,3 +428,25 @@ class TestSharedEnvelope:
         expected = [bits(reference_optimize(query, "bob", float(r))) for r in rates]
         assert curve_bits(reliability_curve(query, rates)) == expected
         assert len(engine._envelope(query, "bob")._memo) <= 5
+
+
+def test_merged_tilt_search_at_binding_figure_cap_matches_dense_grid():
+    # The BSC figure query meets its cost cap, so the tilt optimum is
+    # interior on eve's side and at the origin (the probe shortcut) on
+    # bob's. Every optimum lies in [0, 1), where a 20,001-point grid has a
+    # point within 2.5e-5 of it: the envelope may beat the grid by the
+    # curvature times about 3e-10, never fall below it.
+    query = figures.bsc_query()
+    engine._cached_envelope.cache_clear()
+    grid = np.linspace(0.0, 1.0, 20_001)
+    for side, kappas in (("eve", (0.95, 0.8, 0.6, 0.3)), ("bob", (1.05, 1.3, 1.6, 2.0))):
+        envelope = engine._envelope(query, side)
+        for kappa in kappas:
+            value, r_star, s_star = envelope(kappa)
+            best = max(envelope.evaluator(kappa, float(t), 0.0) for t in grid)
+            assert s_star == 0.0
+            if side == "bob":
+                assert r_star == 0.0 and value == best
+            else:
+                assert 0.0 < r_star < 1.0
+                assert 0.0 <= value - best <= 1e-10

@@ -181,6 +181,20 @@ class TestCurves:
         assert curve.exponents[0] == pytest.approx(0.0, abs=1e-9)
         assert curve.rates[0] == pytest.approx(pw.eve_zero_rate(fig_params(), 0.38), abs=1e-6)
 
+    def test_curve_points_are_the_legendre_points_of_the_public_forms(self):
+        # Each point at rho is (rate, base -+ rho * rate) with the public
+        # base and rate of its side, bit for bit.
+        params, q = fig_params(), 0.38
+        for curve_fn, base_fn, rate_fn, sign in (
+            (pw.reliability_curve, pw.reliability_exponent, pw.reliability_rate, -1.0),
+            (pw.secrecy_curve, pw.secrecy_exponent, pw.secrecy_rate, 1.0),
+        ):
+            curve = curve_fn(params, q, points=9)
+            for rho, rate, exponent in zip(curve.meta["argmax_rho"], curve.rates, curve.exponents):
+                assert rate == rate_fn(params, q, rho)
+                assert exponent == max(base_fn(params, q, rho) + sign * rho * rate, 0.0)
+        assert max(pw.secrecy_curve(params, q).meta["argmax_rho"]) == pw.SECRECY_RHO_MAX
+
     def test_curves_cross(self):
         f = pw.reliability_curve(fig_params(), 0.38, points=60)
         h = pw.secrecy_curve(fig_params(), 0.38, points=60)

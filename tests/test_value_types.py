@@ -14,7 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
-from wiretap_exponents import ensemble_sim
+from wiretap_exponents import ensemble_sim, figures
 from wiretap_exponents import gaussian_wiretap as gw
 from wiretap_exponents import poisson_wiretap as pw
 from wiretap_exponents.channel_core import (
@@ -24,7 +24,7 @@ from wiretap_exponents.channel_core import (
     WiretapPair,
     parse_wiretap_config,
 )
-from wiretap_exponents.exponent_engine import CapacityResult, ExponentCurve, ExponentQuery
+from wiretap_exponents.exponent_engine import CapacityResult, ExponentCurve, ExponentQuery, reliability_curve
 from wiretap_exponents.secrecy_metrics import OutputEnsemble
 
 NAN = math.nan
@@ -102,6 +102,32 @@ class TestValueTypeContract:
             assert all(not a.flags.writeable for a in _array_fields(clone))
             assert value == value and isinstance(value == clone, bool)
             hash(value)
+
+def test_curve_meta_cannot_be_changed_in_place():
+    curve = reliability_curve(figures.bsc_query(), [0.1, 0.2])
+    rhos = curve.meta["argmax_rho"]
+    with pytest.raises(TypeError):
+        curve.meta["argmax_rho"][0] = 99.0
+    with pytest.raises(TypeError):
+        curve.meta["argmax_rho"] = [99.0, 99.0]
+    with pytest.raises(TypeError):
+        del curve.meta["raw"]
+    with pytest.raises(AttributeError):
+        curve.meta["q"].append(0.5)
+    assert curve.meta["argmax_rho"] == rhos and 99.0 not in rhos
+    for clone in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)):
+        assert dict(clone.meta) == dict(curve.meta)
+        with pytest.raises(TypeError):
+            clone.meta["argmax_rho"] = ()
+
+
+def test_curve_meta_does_not_alias_the_callers_dict():
+    meta = {"function": "reliability", "argmax_rho": [0.5, 0.6]}
+    curve = ExponentCurve([0.1, 0.2], [0.3, 0.2], meta)
+    meta["argmax_rho"][0] = 99.0
+    meta["function"] = "changed"
+    assert dict(curve.meta) == {"function": "reliability", "argmax_rho": (0.5, 0.6)}
+
 
 @pytest.mark.parametrize("name", [name for name, (array, _) in CASES.items() if array is not None])
 def test_caller_array_is_not_aliased(name):
