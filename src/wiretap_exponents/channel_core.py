@@ -9,6 +9,7 @@ Alphabets in this package are tiny (at most 16 letters), so probabilities
 are stored as dense row-major float64 matrices.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -19,6 +20,11 @@ from .solvers import golden_min, scan_then_golden_max
 
 PROB_TOL = 1e-12
 MORE_CAPABLE_TOL = 1e-9
+BINARY_SCAN_POINTS = 1001  # the binary more-capable and capacity scans
+# The k > 2 more-capable grid, scored SIMPLEX_BLOCK laws per array pass.
+SIMPLEX_RESOLUTION = 24
+SIMPLEX_BUDGET = 150_000
+SIMPLEX_BLOCK = 256
 
 
 def _frozen_array(values, name="array"):
@@ -53,6 +59,16 @@ def _as_prob_vector(q, name="distribution"):
     if not abs(float(q.sum()) - 1.0) <= PROB_TOL:
         raise ValueError(f"{name} must be finite and sum to 1 within {PROB_TOL}, got sum {q.sum()}")
     return q
+
+
+def _cost_vector(costs, k):
+    """Per-letter costs as a read-only vector of length k; rejects NaN, inf and negative costs."""
+    costs = _frozen_array(costs, "costs")
+    if costs.shape != (k,):
+        raise ValueError(f"costs length does not match the input alphabet: shape {costs.shape}, {k} letters")
+    if np.any(costs < 0.0):
+        raise ValueError("costs must be nonnegative")
+    return costs
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,11 +135,7 @@ class CostedInput:
 
     def __post_init__(self):
         probs = _as_prob_vector(_frozen_array(self.probs, "input distribution"), "input distribution")
-        costs = _frozen_array(self.costs, "costs")
-        if costs.shape != probs.shape:
-            raise ValueError(f"costs shape {costs.shape} does not match distribution shape {probs.shape}")
-        if np.any(costs < 0.0):
-            raise ValueError("costs must be nonnegative")
+        costs = _cost_vector(self.costs, probs.shape[0])
         gamma = _finite_float(self.gamma, "cost cap")
         if gamma < 0.0:
             raise ValueError(f"cost cap must be nonnegative, got {gamma}")
@@ -159,6 +171,20 @@ class WiretapPair:
         return self.bob.num_inputs
 
 
+def _mutual_informations(q, rows):
+    """I(q, W) in nats for one law (shape (k,)) or a stack of laws (shape (n, k)); unvalidated.
+
+    numpy multiplies one law and a stack through different BLAS routines,
+    so a law's value in a stack can differ from its own in the last bit.
+    """
+    marginal = (q @ rows)[..., None, :]
+    joint = q[..., :, None] * rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(joint > 0.0, rows / np.where(marginal > 0.0, marginal, 1.0), 1.0)
+        terms = np.where(joint > 0.0, joint * np.log(ratio), 0.0)
+    return np.maximum(terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1), 0.0)
+
+
 def mutual_information(q, channel):
     """Mutual information I(q, W) in nats between input q and the channel output.
 
@@ -170,15 +196,9 @@ def mutual_information(q, channel):
     W = channel.rows
     if q.shape[0] != W.shape[0]:
         raise ValueError(f"input dimension {q.shape[0]} does not match channel inputs {W.shape[0]}")
-    marginal = q @ W
-    joint = q[:, None] * W
-    bad = (marginal[None, :] <= 0.0) & (joint > 0.0)
-    if np.any(bad):
+    if np.any(((q @ W)[None, :] <= 0.0) & (q[:, None] * W > 0.0)):
         raise ValueError("zero output marginal with positive joint mass; channel matrix is inconsistent")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(joint > 0.0, W / np.where(marginal[None, :] > 0.0, marginal[None, :], 1.0), 1.0)
-        terms = np.where(joint > 0.0, joint * np.log(ratio), 0.0)
-    return max(float(terms.sum()), 0.0)
+    return float(_mutual_informations(q, W))
 
 
 def concatenate(aux, channel):
@@ -221,73 +241,72 @@ class MoreCapableResult:
         return self.holds
 
 
-def _info_gap(q, pair):
-    return mutual_information(q, pair.bob) - mutual_information(q, pair.eve)
+def _info_gap(q, bob_rows, eve_rows):
+    """I(q, W_bob) - I(q, W_eve) for one law or a stack of laws; unvalidated."""
+    return _mutual_informations(q, bob_rows) - _mutual_informations(q, eve_rows)
 
 
-def _simplex_grid(dim, resolution):
-    # All compositions of `resolution` into `dim` nonnegative parts, normalized.
-    if dim == 1:
-        yield np.array([1.0])
-        return
-
-    def rec(remaining, parts):
-        if len(parts) == dim - 1:
-            yield parts + [remaining]
-            return
-        for k in range(remaining + 1):
-            yield from rec(remaining - k, parts + [k])
-
-    for combo in rec(resolution, []):
-        yield np.array(combo, dtype=np.float64) / resolution
+def _simplex_resolution(k):
+    # Largest r <= SIMPLEX_RESOLUTION (24 up to k = 6) whose C(r + k - 1, k - 1) grid points fit the budget.
+    fits = [r for r in range(1, SIMPLEX_RESOLUTION + 1) if math.comb(r + k - 1, k - 1) <= SIMPLEX_BUDGET]
+    return max(fits, default=1)
 
 
-def is_more_capable(pair, grid_resolution=1001):
+def _simplex_blocks(k, r):
+    # The laws with entries in {0, 1/r, ..., 1}, SIMPLEX_BLOCK rows at a time, in
+    # lexicographic order: stars and bars, bar positions from itertools.combinations.
+    bars = itertools.combinations(range(r + k - 1), k - 1)
+    while chunk := list(itertools.islice(bars, SIMPLEX_BLOCK)):
+        cuts = np.array(chunk, dtype=np.int64).reshape(len(chunk), k - 1)
+        yield (np.diff(cuts, axis=1, prepend=-1, append=r + k - 1) - 1) / r
+
+
+def _grid_minimum(bob, eve):
+    # The first minimum of the gap over the simplex grid, scored in array blocks.
+    worst, gap = None, math.inf
+    for laws in _simplex_blocks(bob.shape[0], _simplex_resolution(bob.shape[0])):
+        gaps = _info_gap(laws, bob, eve)
+        i = int(np.argmin(gaps))
+        if gaps[i] < gap:
+            worst, gap = laws[i], gaps[i]
+    return worst, gap
+
+
+def is_more_capable(pair):
     """Check I(q, W_bob) >= I(q, W_eve) over a grid of input laws.
 
     Binary inputs are scanned exhaustively on a 1-D grid and the worst
     point is refined by golden section, which is exhaustive to tolerance.
-    Larger alphabets use a simplex grid at the given resolution plus
-    local refinement; that is a heuristic certificate, not a proof.
+    Larger alphabets use a simplex grid of at most SIMPLEX_BUDGET points
+    (resolution 1/24 up to 6 letters, coarser beyond) plus local
+    refinement; that is a heuristic certificate, not a proof.
 
     Returns a MoreCapableResult carrying the minimizing input found.
     """
-    k = pair.num_inputs
+    k, bob, eve = pair.num_inputs, pair.bob.rows, pair.eve.rows
     if k == 2:
         t_star, neg = scan_then_golden_max(
-            lambda t: -_info_gap(np.array([1.0 - t, t]), pair), 0.0, 1.0, scan_points=grid_resolution, tol=1e-12
+            lambda t: -_info_gap(np.array([1.0 - t, t]), bob, eve), 0.0, 1.0, scan_points=BINARY_SCAN_POINTS, tol=1e-12
         )
         worst, gap = np.array([1.0 - t_star, t_star]), -neg
     else:
-        # Heuristic for >2 letters: coarse simplex sweep, then coordinate
-        # golden refinement around the worst grid point.
-        resolution = max(2, min(grid_resolution, 24))
-        worst, gap = None, math.inf
-        for q in _simplex_grid(k, resolution):
-            g = _info_gap(q, pair)
-            if g < gap:
-                worst, gap = q, g
+        # Heuristic for >2 letters: simplex sweep, then coordinate golden
+        # refinement around the worst grid point.
+        worst, gap = _grid_minimum(bob, eve)
         for _ in range(3):
-            for i in range(k):
-                for j in range(k):
-                    if i == j:
-                        continue
-                    budget = worst[i] + worst[j]
-                    if budget <= 0.0:
-                        continue
+            for i, j in itertools.permutations(range(k), 2):
+                budget = worst[i] + worst[j]
+                if budget <= 0.0:
+                    continue
 
-                    def move(t, i=i, j=j, budget=budget):
-                        q = worst.copy()
-                        q[i] = t
-                        q[j] = budget - t
-                        return _info_gap(q, pair)
+                def moved(t):
+                    q = worst.copy()
+                    q[i], q[j] = t, budget - t
+                    return q
 
-                    t_star, g = golden_min(move, 0.0, budget, tol=1e-10)
-                    if g < gap:
-                        gap = g
-                        worst = worst.copy()
-                        worst[i] = t_star
-                        worst[j] = budget - t_star
+                t_star, g = golden_min(lambda t: _info_gap(moved(t), bob, eve), 0.0, budget, tol=1e-10)
+                if g < gap:
+                    worst, gap = moved(t_star), g
     return MoreCapableResult(gap >= -MORE_CAPABLE_TOL, worst, gap)
 
 
@@ -310,11 +329,7 @@ def parse_wiretap_config(doc):
     bob = DiscreteChannel(doc["bob"])
     eve = DiscreteChannel(doc["eve"])
     pair = WiretapPair(bob, eve)
-    costs = _frozen_array(doc["costs"], "costs")
-    if costs.shape != (pair.num_inputs,):
-        raise ValueError("costs length does not match the input alphabet")
-    if np.any(costs < 0.0):
-        raise ValueError("costs must be nonnegative")
+    costs = _cost_vector(doc["costs"], pair.num_inputs)
     out = {"pair": pair, "costs": costs, "gamma": _finite_float(doc["gamma"], "gamma"), "q": None}
     if "q" in doc:
         out["q"] = _as_prob_vector(_frozen_array(doc["q"], "q"), "q")

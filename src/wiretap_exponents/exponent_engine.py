@@ -30,11 +30,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .channel_core import (
+    BINARY_SCAN_POINTS,
     CostedInput,
     DiscreteChannel,
     WiretapPair,
+    _cost_vector,
     _finite_float,
     _frozen_array,
+    _info_gap,
     _rebuild,
     concatenate,
     is_more_capable,
@@ -49,6 +52,11 @@ ZERO_RATE_THRESHOLD = 1e-15
 ZERO_RATE_TOL = 1e-9
 TRADEOFF_TOL = 1e-9
 _NEG_INF = float("-inf")
+# Starts, and steps per start, of the two local capacity searches.
+GRADIENT_STARTS = 8
+GRADIENT_ITERS = 300
+AUX_STARTS = 6
+AUX_ITERS = 250
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -566,17 +574,12 @@ def _feasible_binary_interval(costs, gamma):
     return max(0.0, (c0 - gamma) / (c0 - c1)), 1.0
 
 
-def _info_gap_of(pair):
-    def gap(q):
-        return mutual_information(q, pair.bob) - mutual_information(q, pair.eve)
-
-    return gap
-
-
-def _best_input_binary(pair, costs, gamma, grid=1001):
+def _best_input_binary(pair, costs, gamma):
     lo, hi = _feasible_binary_interval(costs, gamma)
-    gap = _info_gap_of(pair)
-    t_star, best = scan_then_golden_max(lambda t: gap(np.array([1.0 - t, t])), lo, hi, scan_points=grid, tol=1e-12)
+    bob, eve = pair.bob.rows, pair.eve.rows
+    t_star, best = scan_then_golden_max(
+        lambda t: _info_gap(np.array([1.0 - t, t]), bob, eve), lo, hi, scan_points=BINARY_SCAN_POINTS, tol=1e-12
+    )
     return np.array([1.0 - t_star, t_star]), best
 
 
@@ -591,41 +594,51 @@ def _project_simplex(v):
     return np.maximum(v - tau, 0.0)
 
 
-def _project_feasible(q, costs, gamma, rounds=60):
-    # Alternating projection onto simplex and the cost halfspace.
-    q = _project_simplex(q)
-    for _ in range(rounds):
-        excess = float(q @ costs) - gamma
-        if excess <= 1e-14:
-            break
-        n2 = float(costs @ costs)
-        q = q - (excess / n2) * costs
-        q = _project_simplex(q)
-    return q
+def _project_feasible(v, costs, gamma):
+    """Euclidean projection of v onto {q in the simplex : costs . q <= gamma}; needs gamma >= min(costs).
+
+    It is the simplex projection of v - lam * costs for the least lam >= 0
+    meeting the cap (KKT); the cost falls as lam grows, so lam is bisected
+    on [0, hi], past which only the cheapest letters keep mass.
+    """
+    q = _project_simplex(v)
+    spread = costs - costs.min()
+    if q @ costs <= gamma or not (spread > 0.0).any():
+        return q
+    hi = (v.max() - v.min() + 1.0) / spread[spread > 0.0].min()
+    lam = bisect_boundary(lambda lam: _project_simplex(v - lam * costs) @ costs <= gamma, 0.0, hi, tol=1e-15 * hi)
+    return _project_simplex(v - lam * costs)
 
 
-def _best_input_gradient(pair, costs, gamma, seed, starts=8, iters=300):
-    gap = _info_gap_of(pair)
-    k = pair.num_inputs
+def _gap_gradient(q, bob, eve):
+    """Exact gradient in q of I(q, W_bob) - I(q, W_eve): D(W_bob(.|x) || qW_bob) - D(W_eve(.|x) || qW_eve).
+
+    A zero output marginal has its log floored at the smallest normal
+    float, so the gradient stays finite on the simplex boundary.
+    """
+
+    def divergences(rows):
+        log_ratio = np.log(np.where(rows > 0.0, rows, 1.0)) - np.log(np.maximum(q @ rows, np.finfo(np.float64).tiny))
+        return np.where(rows > 0.0, rows * log_ratio, 0.0).sum(axis=1)
+
+    return divergences(bob) - divergences(eve)
+
+
+def _best_input_gradient(pair, costs, gamma, seed):
+    # Multi-start projected gradient ascent: a step that raises the gap is
+    # taken and the next one doubled; any other step is halved instead.
+    bob, eve = pair.bob.rows, pair.eve.rows
     rng = np.random.default_rng(seed)
     best_q, best = None, -math.inf
-    for _ in range(starts):
-        q = _project_feasible(rng.dirichlet(np.ones(k)), costs, gamma)
-        step = 0.25
-        val = gap(q)
-        for _ in range(iters):
-            grad = np.zeros(k)
-            h = 1e-6
-            for i in range(k):
-                e = np.zeros(k)
-                e[i] = h
-                qp = _project_feasible(q + e, costs, gamma)
-                qm = _project_feasible(q - e, costs, gamma)
-                grad[i] = (gap(qp) - gap(qm)) / (2 * h)
+    for _ in range(GRADIENT_STARTS):
+        q = _project_feasible(rng.dirichlet(np.ones(pair.num_inputs)), costs, gamma)
+        step, val, grad = 0.25, _info_gap(q, bob, eve), _gap_gradient(q, bob, eve)
+        for _ in range(GRADIENT_ITERS):
             q_new = _project_feasible(q + step * grad, costs, gamma)
-            val_new = gap(q_new)
+            val_new = _info_gap(q_new, bob, eve)
             if val_new > val:
-                q, val = q_new, val_new
+                q, val, grad = q_new, val_new, _gap_gradient(q_new, bob, eve)
+                step *= 2.0
             else:
                 step *= 0.5
                 if step < 1e-9:
@@ -635,7 +648,7 @@ def _best_input_gradient(pair, costs, gamma, seed, starts=8, iters=300):
     return best_q, best
 
 
-def _aux_search(pair, costs, gamma, aux_dim, seed, starts=6, iters=250):
+def _aux_search(pair, costs, gamma, aux_dim, seed):
     """Local search over (input law on V, auxiliary channel V->X).
 
     Softmax parametrization keeps both simplexes valid; infeasible cost
@@ -654,61 +667,59 @@ def _aux_search(pair, costs, gamma, aux_dim, seed, starts=6, iters=250):
 
     def value(theta):
         qv, rows = decode(theta)
-        induced_cost = float(qv @ rows @ costs)
-        if induced_cost > gamma + 1e-12:
-            return -math.inf, qv, rows
-        aux = DiscreteChannel(rows)
-        bob_plus = concatenate(aux, pair.bob)
-        eve_plus = concatenate(aux, pair.eve)
-        return (
-            mutual_information(qv, bob_plus) - mutual_information(qv, eve_plus),
-            qv,
-            rows,
-        )
+        if float(qv @ rows @ costs) > gamma + 1e-12:
+            return -math.inf
+        return _info_gap(qv, rows @ pair.bob.rows, rows @ pair.eve.rows)
 
     dim = aux_dim + aux_dim * k
     best = (-math.inf, None, None)
-    for _ in range(starts):
+    for _ in range(AUX_STARTS):
         theta = rng.normal(scale=0.5, size=dim)
-        val = value(theta)[0]
+        val = value(theta)
         step = 0.5
-        for _ in range(iters):
+        for _ in range(AUX_ITERS):
             cand = theta + rng.normal(scale=step, size=dim)
-            v = value(cand)[0]
+            v = value(cand)
             if v > val:
                 theta, val = cand, v
             else:
                 step *= 0.95
                 if step < 1e-4:
                     break
-        v, qv, rows = value(theta)
-        if v > best[0]:
-            best = (v, qv, rows)
+        if val > best[0]:
+            best = (val, *decode(theta))
     if best[1] is None:
         raise RuntimeError("auxiliary-channel search found no feasible point")
     return best
 
 
-def secrecy_capacity(pair, costs, gamma, aux_dim=2, grid=1001, seed=0):
+def secrecy_capacity(pair, costs, gamma, aux_dim=2, seed=0):
     """Largest rate with both vanishing error and vanishing divergence.
 
     For more-capable pairs the optimization runs over input laws only
     (exhaustive 1-D scan on binary alphabets, multi-start projected
-    gradient otherwise). Otherwise a local search over an auxiliary
-    alphabet of size ``aux_dim`` produces a lower bound flagged as
-    heuristic; no cardinality bound for V is known, so ``aux_dim`` is a
-    user knob.
+    gradient ascent on the exact gradient otherwise). Otherwise a local
+    search over an auxiliary alphabet of size ``aux_dim`` produces a
+    lower bound flagged as heuristic; no cardinality bound for V is
+    known, so ``aux_dim`` is a user knob.
+
+    Costs must be finite, nonnegative and one per input letter, and the
+    cap ``gamma`` finite and at least the cheapest cost; otherwise
+    ValueError.
     """
-    costs = np.asarray(costs, dtype=np.float64)
-    mc = is_more_capable(pair, grid_resolution=grid)
+    costs = _cost_vector(costs, pair.num_inputs)
+    gamma = _finite_float(gamma, "cost cap")
+    if gamma < costs.min():
+        raise ValueError(f"cost cap {gamma} below the cheapest letter cost {costs.min()}")
+    mc = is_more_capable(pair)
     if mc.holds:
         if pair.num_inputs == 2:
-            q, best = _best_input_binary(pair, costs, gamma, grid=grid)
+            q, best = _best_input_binary(pair, costs, gamma)
         else:
             q, best = _best_input_gradient(pair, costs, gamma, seed)
-        return CapacityResult(max(best, 0.0), q, None, True, False, mc.min_gap)
+        return CapacityResult(float(max(best, 0.0)), q, None, True, False, mc.min_gap)
     best, qv, rows = _aux_search(pair, costs, gamma, aux_dim, seed)
-    return CapacityResult(max(best, 0.0), qv, DiscreteChannel(rows), False, True, mc.min_gap)
+    return CapacityResult(float(max(best, 0.0)), qv, DiscreteChannel(rows), False, True, mc.min_gap)
 
 
 @dataclass

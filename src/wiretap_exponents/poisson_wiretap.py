@@ -23,7 +23,8 @@ Evaluations use the algebraic form
 ``((1-q) s^(1/k) + q (1+s)^(1/k))^k`` rather than the equivalent
 ratio form with (1 + 1/s) factors: it stays finite and continuous all
 the way to s = 0 (zero dark current), with the convention
-s^a * log(s) -> 0.
+s^a * log(s) -> 0. Its inner sum is taken in the log domain, so small
+tilt orders k do not overflow.
 """
 
 import math
@@ -123,9 +124,19 @@ def discretize(params, delta):
     return DiscretizedPoisson(pair, np.array([0.0, 1.0]), params.gamma, delta)
 
 
-def _tilted_mean(q, s, kappa):
-    # ((1-q) s^(1/kappa) + q (1+s)^(1/kappa)); finite for all s >= 0.
-    return (1.0 - q) * s ** (1.0 / kappa) + q * (1.0 + s) ** (1.0 / kappa)
+def _log_tilted_mean(q, s, kappa):
+    # log g(kappa), g = (1-q) s^(1/kappa) + q (1+s)^(1/kappa), and the shares
+    # of its two terms, in the log domain: (1+s)^(1/kappa) overflows as
+    # kappa -> 0. log g is -inf when g = 0 (q = 0 and s = 0).
+    logs = (
+        math.log1p(-q) + math.log(s) / kappa if q < 1.0 and s > 0.0 else -math.inf,
+        math.log(q) + math.log1p(s) / kappa if q > 0.0 else -math.inf,
+    )
+    top = max(logs)
+    if top == -math.inf:
+        return top, (0.0, 0.0)
+    log_g = top + math.log(sum(math.exp(a - top) for a in logs))
+    return log_g, tuple(math.exp(a - log_g) for a in logs)
 
 
 def _check_duty(params, q):
@@ -133,36 +144,42 @@ def _check_duty(params, q):
         raise ValueError(f"duty probability must be in [0, {params.gamma}], got {q}")
 
 
+def _check_rho(rho, secrecy):
+    # Reliability takes rho in [0, 1], secrecy rho in (0, 1).
+    if not (0.0 < rho < 1.0 if secrecy else 0.0 <= rho <= 1.0):
+        raise ValueError(f"rho must be in {'(0, 1)' if secrecy else '[0, 1]'}, got {rho}")
+
+
 def _exponent_base(peak, s, q, rho):
     # peak (q + s - g(kappa)^kappa) at kappa = 1 + rho; rho < 0 is the secrecy side.
     kappa = 1.0 + rho
-    return peak * (q + s - _tilted_mean(q, s, kappa) ** kappa)
+    return peak * (q + s - math.exp(kappa * _log_tilted_mean(q, s, kappa)[0]))
 
 
 def _rate(peak, s, q, rho):
-    # d/drho of the exponent base at kappa = 1 + rho, where
-    # dg/dkappa = -part / kappa^2 with part = (1-q) s^(1/k) log s + q (1+s)^(1/k) log(1+s)
-    # and s^a log s -> 0 at s = 0.
+    # d/drho of the exponent base at kappa = 1 + rho:
+    # peak g^kappa (part / (g kappa) - log g), where dg/dkappa = -part / kappa^2
+    # with part = (1-q) s^(1/k) log s + q (1+s)^(1/k) log(1+s). part / g is the
+    # share-weighted mean of log s and log(1+s), and s^a log s -> 0 at s = 0.
     kappa = 1.0 + rho
-    g = _tilted_mean(q, s, kappa)
-    first = 0.0 if s == 0.0 else (1.0 - q) * s ** (1.0 / kappa) * math.log(s)
-    part = first + q * (1.0 + s) ** (1.0 / kappa) * math.log1p(s)
-    return peak * (g ** (kappa - 1.0) * part / kappa - g ** kappa * math.log(g))
+    log_g, (share_off, share_on) = _log_tilted_mean(q, s, kappa)
+    if log_g == -math.inf:
+        return 0.0
+    mean_log = (share_off * math.log(s) if s > 0.0 else 0.0) + share_on * math.log1p(s)
+    return peak * math.exp(kappa * log_g) * (mean_log / kappa - log_g)
 
 
 def reliability_exponent(params, q, rho):
     """Per-second decoding-error exponent base at tilt order 1 + rho."""
     _check_duty(params, q)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    _check_rho(rho, secrecy=False)
     return _exponent_base(params.peak_bob, params.s_bob, q, rho)
 
 
 def secrecy_exponent(params, q, rho):
     """Per-second divergence exponent base at tilt order 1 - rho."""
     _check_duty(params, q)
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must be in (0, 1), got {rho}")
+    _check_rho(rho, secrecy=True)
     return _exponent_base(params.peak_eve, params.s_eve, q, -rho)
 
 
@@ -173,12 +190,14 @@ def reliability_rate(params, q, rho):
     curve point at parameter rho sits at this rate.
     """
     _check_duty(params, q)
+    _check_rho(rho, secrecy=False)
     return _rate(params.peak_bob, params.s_bob, q, rho)
 
 
 def secrecy_rate(params, q, rho):
     """Resolvability rate (nats/second) paired with rho on the secrecy curve."""
     _check_duty(params, q)
+    _check_rho(rho, secrecy=True)
     return _rate(params.peak_eve, params.s_eve, q, -rho)
 
 

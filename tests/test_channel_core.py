@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import Budget
+from wiretap_exponents import channel_core
 from wiretap_exponents import (
     CostedInput,
     DiscreteChannel,
@@ -207,8 +209,73 @@ class TestMoreCapable:
         noise = np.ones((3, 3)) / 3.0
         rows_e = 0.5 * rows_b + 0.5 * noise
         pair = WiretapPair(DiscreteChannel(rows_b), DiscreteChannel(rows_e))
-        result = is_more_capable(pair, grid_resolution=12)
+        result = is_more_capable(pair)
         assert result.holds
+
+    def test_sixteen_letters_fit_the_grid_budget(self):
+        # 16 letters scan C(21, 15) = 54,264 laws at resolution 1/6, not
+        # the 2.5e10 of resolution 1/24.
+        rng = np.random.default_rng(16)
+        bob = rng.dirichlet(np.ones(16), size=16)
+        eve = bob @ rng.dirichlet(np.ones(16), size=16)
+        assert channel_core._simplex_resolution(16) == 6
+        with Budget("is_more_capable on a 16-letter degraded pair", 30.0):
+            result = is_more_capable(WiretapPair(DiscreteChannel(bob), DiscreteChannel(eve)))
+        assert result.holds
+
+
+def old_simplex_grid(dim, resolution):
+    # The recursive per-law enumeration that the block scan replaced.
+    def rec(remaining, parts):
+        if len(parts) == dim - 1:
+            yield parts + [remaining]
+            return
+        for k in range(remaining + 1):
+            yield from rec(remaining - k, parts + [k])
+
+    for combo in rec(resolution, []):
+        yield np.array(combo, dtype=np.float64) / resolution
+
+
+class TestSimplexScan:
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_resolution_keeps_24_up_to_six_letters(self, k):
+        r = channel_core._simplex_resolution(k)
+        assert math.comb(r + k - 1, k - 1) <= channel_core.SIMPLEX_BUDGET
+        if k <= 6:
+            assert r == 24
+        else:  # the next resolution would not fit
+            assert math.comb(r + k, k - 1) > channel_core.SIMPLEX_BUDGET
+
+    @pytest.mark.parametrize("k, block", [(3, None), (4, None), (5, None), (4, 7), (5, 100)])
+    def test_block_scan_matches_per_law_loop(self, k, block, monkeypatch):
+        # None keeps the module's block size; 325, 2,925 and 20,475 laws
+        # span several blocks at any size used.
+        block = block or channel_core.SIMPLEX_BLOCK
+        monkeypatch.setattr(channel_core, "SIMPLEX_BLOCK", block)
+        rng = np.random.default_rng(k + block)
+        bob, eve = rng.dirichlet(np.ones(k), size=k), rng.dirichlet(np.ones(k), size=k)
+        r = channel_core._simplex_resolution(k)
+        grid = list(old_simplex_grid(k, r))
+        blocks = list(channel_core._simplex_blocks(k, r))
+        assert len(blocks) == -(-len(grid) // block)
+        assert np.array_equal(np.vstack(blocks), grid)
+        worst, gap = None, math.inf
+        for q in grid:
+            g = mutual_information(q, DiscreteChannel(bob)) - mutual_information(q, DiscreteChannel(eve))
+            if g < gap:
+                worst, gap = q, g
+        got_worst, got_gap = channel_core._grid_minimum(bob, eve)
+        assert np.array_equal(got_worst, worst)
+        assert got_gap == pytest.approx(gap, abs=1e-15)
+
+    @pytest.mark.parametrize("block", [1, 5, 256, 4096])
+    def test_first_minimum_wins_across_blocks(self, block, monkeypatch):
+        # Equal channels tie at gap 0 everywhere: the first law enumerated wins.
+        monkeypatch.setattr(channel_core, "SIMPLEX_BLOCK", block)
+        rows = np.random.default_rng(3).dirichlet(np.ones(4), size=4)
+        worst, gap = channel_core._grid_minimum(rows, rows)
+        assert np.array_equal(worst, [0.0, 0.0, 0.0, 1.0]) and gap == 0.0
 
 
 class TestConfigParsing:

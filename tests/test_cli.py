@@ -228,6 +228,15 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cap_below_cheapest_cost_is_two(self, k, tmp_path, capsys):
+        rows = np.eye(k)
+        doc = {"bob": rows.tolist(), "eve": (0.5 * rows + 0.5 / k).tolist(), "costs": [1.0] * k, "gamma": 0.5}
+        path = tmp_path / "cheap.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["capacity", "--config", str(path)]) == 2
+        assert "cheapest" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import astuple
 
@@ -12,6 +13,7 @@ from wiretap_exponents import (
     ExponentQuery,
     WiretapPair,
     gallager_e0,
+    mutual_information,
     reliability_curve,
     reliability_exponent,
     reliability_optimum,
@@ -259,13 +261,132 @@ class TestSecrecyCapacity:
         rows_b = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
         rows_e = 0.5 * rows_b + 0.5 / 3.0
         pair = WiretapPair(DiscreteChannel(rows_b), DiscreteChannel(rows_e))
-        result = secrecy_capacity(pair, [1.0, 1.0, 1.0], 2.0, grid=12, seed=0)
+        result = secrecy_capacity(pair, [1.0, 1.0, 1.0], 2.0, seed=0)
         from wiretap_exponents import mutual_information
 
         uniform_gap = mutual_information(np.ones(3) / 3, pair.bob) - mutual_information(
             np.ones(3) / 3, pair.eve
         )
         assert result.value >= uniform_gap - 1e-6
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "extra_costs, negative, gamma",
+        [
+            pytest.param(-1, False, 2.0, id="short_costs"),
+            pytest.param(1, False, 2.0, id="long_costs"),
+            pytest.param(0, True, 2.0, id="negative_cost"),
+            pytest.param(0, False, 0.5, id="cap_below_cheapest_cost"),
+        ],
+    )
+    def test_bad_costs_or_cap_rejected(self, k, extra_costs, negative, gamma):
+        # Every letter costs 1 unless negative; non-finite costs and caps
+        # are in test_value_types' non-finite table.
+        rows = np.eye(k)
+        pair = WiretapPair(DiscreteChannel(rows), DiscreteChannel(0.5 * rows + 0.5 / k))
+        costs = [-0.5 if negative else 1.0] + [1.0] * (k - 1 + extra_costs)
+        with pytest.raises(ValueError):
+            secrecy_capacity(pair, costs, gamma)
+
+    def test_identity_bob_reaches_the_zero_marginal_boundary(self):
+        # Bob's output marginal is the input law itself, so every boundary
+        # point has a zero marginal and an infinite true gradient.
+        eve = [[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.0, 0.0, 1.0]]
+        pair = WiretapPair(DiscreteChannel.identity(3), DiscreteChannel(eve))
+        for seed in range(3):
+            result = secrecy_capacity(pair, [1.0, 1.0, 1.0], 2.0, seed=seed)
+            assert result.value == pytest.approx(0.7215948424621532, abs=1e-9)
+        grad = engine._gap_gradient(np.array([0.5, 0.5, 0.0]), pair.bob.rows, pair.eve.rows)
+        assert np.all(np.isfinite(grad)) and grad[2] > 100.0
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("cap", ["binding", "slack"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_degraded_input_search_oracles(self, k, cap, seed):
+        rng = np.random.default_rng([k, seed])
+        bob = rng.dirichlet(np.ones(k), size=k)
+        eve = bob @ rng.dirichlet(np.ones(k), size=k)
+        costs = rng.uniform(0.5, 2.0, k)
+        gamma = costs.min() + 0.3 * (costs.mean() - costs.min()) if cap == "binding" else 1.1 * costs.max()
+        pair = WiretapPair(DiscreteChannel(bob), DiscreteChannel(eve))
+        result = secrecy_capacity(pair, costs, gamma)
+        q = result.input_law
+        assert result.more_capable and not result.heuristic
+        assert q @ costs <= gamma + 1e-12
+        assert result.value >= dense_grid_capacity(bob, eve, costs, gamma, 48 if k == 3 else 20)
+        assert kkt_residual(q, bob, eve, costs, gamma) <= 1e-6
+
+    def test_project_feasible_matches_brute_force(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            k = int(rng.integers(2, 6))
+            v = rng.normal(scale=rng.choice([0.3, 1.0, 5.0]), size=k)
+            costs = rng.uniform(0.0, 2.0, k)
+            gamma = costs.min() + rng.uniform(0.0, 1.2) * (costs.max() - costs.min())
+            q = engine._project_feasible(v, costs, gamma)
+            assert q @ costs <= gamma + 1e-12
+            assert np.abs(q - brute_force_projection(v, costs, gamma)).max() <= 1e-9
+
+
+def dense_grid_capacity(bob, eve, costs, gamma, n):
+    # Best information gap over the feasible laws with entries in {0, 1/n, ..., 1}.
+    best = -math.inf
+    for head in itertools.product(range(n + 1), repeat=len(costs) - 1):
+        if sum(head) <= n:
+            q = np.array([*head, n - sum(head)]) / n
+            if q @ costs <= gamma:
+                gap = mutual_information(q, DiscreteChannel(bob)) - mutual_information(q, DiscreteChannel(eve))
+                best = max(best, gap)
+    return best
+
+
+def kkt_residual(q, bob, eve, costs, gamma, support_tol=1e-9):
+    # KKT conditions of max gap(q) on the simplex with costs . q <= gamma:
+    # g(x) - lam c(x) = nu on the support, <= nu off it, lam >= 0, and lam = 0
+    # unless the cap binds. g is the central-difference gradient of the gap
+    # sum_x p(x) sum_y W(y|x) log(W(y|x) / (pW)(y)), extended off the simplex.
+    def info(p, rows):
+        out = p @ rows
+        return sum(p[x] * w * math.log(w / out[y]) for (x, y), w in np.ndenumerate(rows) if w > 0.0)
+
+    def gap(p):
+        return info(p, bob) - info(p, eve)
+
+    h = 1e-6
+    g = np.array([(gap(q + h * e) - gap(q - h * e)) / (2 * h) for e in np.eye(len(q))])
+    on = q > support_tol
+    if gamma - q @ costs > support_tol:
+        lam, nu = 0.0, float(g[on].mean())
+    else:
+        lam, nu = np.linalg.lstsq(np.column_stack([-costs[on], -np.ones(on.sum())]), -g[on], rcond=None)[0]
+    slack = g - lam * costs - nu
+    return max(np.abs(slack[on]).max(), np.maximum(slack[~on], 0.0).max(initial=0.0), -lam)
+
+
+def brute_force_projection(v, costs, gamma):
+    # Nearest point over every face of the feasible set: on the face with
+    # support S (and the cap active or not), the equality-constrained
+    # projection solves one linear system; keep the feasible candidates.
+    k = len(v)
+    best, best_d = None, math.inf
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            s = list(support)
+            for active in (False, True):
+                rows = [np.ones(size)] + ([costs[s]] if active else [])
+                A = np.array(rows)
+                b = np.array([1.0] + ([gamma] if active else []))
+                kkt = np.block([[np.eye(size), A.T], [A, np.zeros((len(rows), len(rows)))]])
+                try:
+                    sol = np.linalg.solve(kkt, np.concatenate([v[s], b]))
+                except np.linalg.LinAlgError:
+                    continue
+                q = np.zeros(k)
+                q[s] = sol[:size]
+                on_face = np.allclose(A @ q[s], b, rtol=0.0, atol=1e-9)
+                if on_face and q.min() >= -1e-12 and q @ costs <= gamma + 1e-12 and np.linalg.norm(q - v) < best_d:
+                    best, best_d = q, np.linalg.norm(q - v)
+    return best
 
 
 class TestTradeoffScenarios:

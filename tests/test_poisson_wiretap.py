@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap_exponents import ExponentQuery
 from wiretap_exponents import poisson_wiretap as pw
@@ -165,6 +167,48 @@ class TestRateMaps:
         per_use = mutual_information([1 - q, q], d.pair.bob)
         assert pw.bob_zero_rate(params, q) == pytest.approx(per_use / delta, rel=1e-3)
 
+
+    def test_large_dark_ratio_at_small_tilt_order(self):
+        # (1 + s)^(1 / kappa) overflows a float at s = 2, kappa = 0.001.
+        params = pw.PoissonWiretapParams(12.0, 5.0, 0.5, 10.0, 0.5)
+        assert math.isfinite(pw.secrecy_exponent(params, 0.3, 0.999))
+        assert math.isfinite(pw.secrecy_rate(params, 0.3, 0.999))
+
+    @pytest.mark.parametrize("rho", [-3.0, -1e-12, 1.0 + 1e-12, math.nan])
+    def test_reliability_rate_checks_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be in"):
+            pw.reliability_rate(fig_params(), 0.3, rho)
+
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 1.0, math.nan])
+    def test_secrecy_rate_checks_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be in"):
+            pw.secrecy_rate(fig_params(), 0.3, rho)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        peak_bob=st.floats(1e-3, 1e3),
+        eve_share=st.floats(1e-3, 1.0),
+        s_bob=st.floats(0.0, 1e3),
+        s_extra=st.floats(0.0, 1e3),
+        gamma=st.floats(0.0, 1.0),
+        q=st.floats(-0.1, 1.1),
+        rho=st.floats(-0.5, 1.5),
+    )
+    def test_public_forms_are_finite_or_rejected(self, peak_bob, eve_share, s_bob, s_extra, gamma, q, rho):
+        # Degraded by construction: eve's peak is a share of bob's and her
+        # dark-to-peak ratio is at least his.
+        peak_eve = eve_share * peak_bob
+        try:
+            params = pw.PoissonWiretapParams(peak_bob, peak_eve, s_bob * peak_bob, (s_bob + s_extra) * peak_eve, gamma)
+        except ValueError:
+            return
+        forms = (pw.reliability_exponent, pw.secrecy_exponent, pw.reliability_rate, pw.secrecy_rate)
+        for form in forms:
+            try:
+                value = form(params, q, rho)
+            except ValueError:
+                continue
+            assert math.isfinite(value), (form.__name__, value)
 
 class TestCurves:
     def test_reliability_curve_shape(self):

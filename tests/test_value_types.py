@@ -24,7 +24,13 @@ from wiretap_exponents.channel_core import (
     WiretapPair,
     parse_wiretap_config,
 )
-from wiretap_exponents.exponent_engine import CapacityResult, ExponentCurve, ExponentQuery, reliability_curve
+from wiretap_exponents.exponent_engine import (
+    CapacityResult,
+    ExponentCurve,
+    ExponentQuery,
+    reliability_curve,
+    secrecy_capacity,
+)
 from wiretap_exponents.secrecy_metrics import OutputEnsemble
 
 NAN = math.nan
@@ -33,6 +39,10 @@ INF = math.inf
 
 def _pair():
     return WiretapPair(DiscreteChannel.bsc(0.1), DiscreteChannel.bsc(0.3))
+
+
+def _ternary_pair():
+    return WiretapPair(DiscreteChannel.identity(3), DiscreteChannel(np.full((3, 3), 1.0 / 3.0)))
 
 
 # name -> (caller array or None, build(array) -> value)
@@ -150,6 +160,8 @@ NON_FINITE = {
     "PoissonWiretapParams": lambda: pw.PoissonWiretapParams(12.0, 5.0, INF, INF, 0.5),
     "GaussianWiretapParams": lambda: gw.GaussianWiretapParams(NAN, 0.5, 0.5, 0.8, 0.5),
     "ConcatenationParams": lambda: pw.ConcatenationParams(NAN, 0.02),
+    "secrecy_capacity costs": lambda: secrecy_capacity(_ternary_pair(), [1.0, NAN, 1.0], 2.0),
+    "secrecy_capacity gamma": lambda: secrecy_capacity(_ternary_pair(), [1.0, 1.0, 1.0], INF),
 }
 
 
