@@ -27,6 +27,7 @@ from . import gaussian_wiretap as gw
 from . import poisson_wiretap as pw
 from .channel_core import DiscreteChannel, WiretapPair, load_wiretap_config
 from .exponent_engine import (
+    MECHANISMS,
     ExponentQuery,
     rate_windows,
     reliability_curve,
@@ -436,7 +437,7 @@ def build_parser():
 
     p = sub.add_parser("tradeoff", help="tradeoff scenario sweeps")
     p.add_argument("--config", required=True)
-    p.add_argument("--mechanism", required=True, choices=("rate_shift", "rate_exchange", "concatenate", "cost_change"))
+    p.add_argument("--mechanism", required=True, choices=MECHANISMS)
     p.add_argument("--sweep", required=True, help="comma-separated sweep values")
     common(p, cmd_tradeoff, "out", "points")
 

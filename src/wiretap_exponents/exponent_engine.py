@@ -78,9 +78,7 @@ class ExponentQuery:
     rate_e: float
 
     def __init__(self, pair, q, costs, gamma, rate_b=0.0, rate_e=0.0, aux=None):
-        costs = _frozen_array(costs, "costs")
-        if costs.shape != (pair.num_inputs,):
-            raise ValueError("costs length does not match the channel input alphabet")
+        costs = _cost_vector(costs, pair.num_inputs)
         if aux is not None:
             if aux.num_outputs != pair.num_inputs:
                 raise ValueError("auxiliary channel outputs must match the channel input alphabet")
@@ -558,7 +556,9 @@ class CapacityResult:
     min_info_gap: float
 
     def __post_init__(self):
+        object.__setattr__(self, "value", _finite_float(self.value, "capacity value"))
         object.__setattr__(self, "input_law", _frozen_array(self.input_law, "input law"))
+        object.__setattr__(self, "min_info_gap", _finite_float(self.min_info_gap, "min info gap"))
 
     __reduce__ = _rebuild
 
@@ -653,6 +653,9 @@ def _aux_search(pair, costs, gamma, aux_dim, seed):
 
     Softmax parametrization keeps both simplexes valid; infeasible cost
     points are skipped, so the returned value is a feasible lower bound.
+    When no sampled point meets the cap (it sits at or just above the
+    cheapest cost), every V letter is sent to a cheapest letter, which
+    meets any allowed cap, with gap 0.
     """
     k = pair.num_inputs
     rng = np.random.default_rng(seed)
@@ -689,7 +692,9 @@ def _aux_search(pair, costs, gamma, aux_dim, seed):
         if val > best[0]:
             best = (val, *decode(theta))
     if best[1] is None:
-        raise RuntimeError("auxiliary-channel search found no feasible point")
+        rows = np.zeros((aux_dim, k))
+        rows[:, int(np.argmin(costs))] = 1.0
+        return 0.0, np.full(aux_dim, 1.0 / aux_dim), rows
     return best
 
 
@@ -755,11 +760,88 @@ def rate_windows(query, points, margin):
     return f_rates, h_rates
 
 
-def _pointwise_slack(hi_curve, lo_curve):
-    return float(np.min(hi_curve.exponents - lo_curve.exponents))
+def ordered_curves(hi, lo):
+    """(ok, slack): ``hi >= lo`` to TRADEOFF_TOL on the overlap of the two rate windows.
+
+    Both curves are compared at every rate of either one inside the
+    overlap. ``np.interp`` returns knot values exactly, so curves on one
+    rate grid are compared pointwise, and on different grids the slack
+    is the exact minimum of the piecewise-linear difference. Windows that
+    do not overlap give (False, -inf).
+    """
+    a = max(hi.rates[0], lo.rates[0])
+    b = min(hi.rates[-1], lo.rates[-1])
+    if b < a:
+        return False, _NEG_INF
+    rates = np.concatenate((hi.rates, lo.rates))
+    rates = rates[(rates >= a) & (rates <= b)]
+    slack = float(np.min(np.interp(rates, hi.rates, hi.exponents) - np.interp(rates, lo.rates, lo.exponents)))
+    return slack >= -TRADEOFF_TOL, slack
 
 
-MECHANISMS = ("rate_shift", "rate_exchange", "concatenate", "cost_change")
+# Per mechanism: the reference each swept scenario is checked against
+# ("base", "previous" scenario, or "previous swept" one, so that the first
+# swept scenario has no checks), then the name and direction of the
+# reliability check and of the secrecy check. A curve that "rises" lies
+# on or above its reference, one that "falls" on or below it, and an
+# "identical" one equals it bit for bit.
+SWEEP_CHECKS = {
+    "rate_shift": (
+        "previous",
+        ("reliability_nonincreasing_in_shift", "falls"),
+        ("secrecy_nondecreasing_in_shift", "rises"),
+    ),
+    "rate_exchange": ("base", ("reliability_invariant", "identical"), ("secrecy_nondecreasing_in_shift", "rises")),
+    "concatenate": ("base", ("reliability_drops", "falls"), ("secrecy_rises", "rises")),
+    "cost_change": (
+        "previous swept",
+        ("reliability_nondecreasing_in_cap", "rises"),
+        ("secrecy_nonincreasing_in_cap", "falls"),
+    ),
+}
+MECHANISMS = tuple(SWEEP_CHECKS)
+
+
+def _sweep_check(direction, curve, reference):
+    if direction == "identical":
+        diff = float(np.max(np.abs(curve.exponents - reference.exponents)))
+        return diff == 0.0, -diff
+    if direction == "rises":
+        return ordered_curves(curve, reference)
+    return ordered_curves(reference, curve)
+
+
+def _swept_queries(query, mechanism, sweep):
+    """(label, query, reliability rate offset, secrecy rate offset) per sweep value."""
+    if mechanism == "rate_shift":
+        return [(f"shift+{delta:g}", query, delta, delta) for delta in sweep]
+    if mechanism == "rate_exchange":
+        return [(f"exchange+{delta:g}", query, 0.0, delta) for delta in sweep]
+    rates = {"rate_b": query.rate_b, "rate_e": query.rate_e}
+    if mechanism == "concatenate":
+        if query.pair.num_inputs != 2 or query.aux is not None:
+            raise ValueError("concatenation sweeps are defined for binary non-concatenated queries")
+        p1 = float(query.input.probs[1])
+        swept = []
+        for eps in sweep:
+            a, b = 1.0 - eps, eps
+            qv1 = (p1 - b) / (a - b)
+            if not 0.0 <= qv1 <= 1.0:
+                raise ValueError(f"input law q(1)={p1} is not reachable through a crossover-{eps} prefix")
+            aux = DiscreteChannel.bsc(eps)
+            q_plus = ExponentQuery(query.pair, [1.0 - qv1, qv1], query.costs_x, query.gamma, aux=aux, **rates)
+            swept.append((f"prefix_bsc_{eps:g}", q_plus, 0.0, 0.0))
+        return swept
+    if query.pair.num_inputs != 2:
+        raise ValueError("cost_change sweeps re-fit the input law and need binary inputs")
+    caps = list(sweep)
+    if sorted(caps) != caps:
+        raise ValueError("cost_change sweep must be ascending")
+    swept = []
+    for cap in caps:
+        q_fit, _ = _best_input_binary(query.pair, query.costs_x, cap)
+        swept.append((f"cap_{cap:g}", ExponentQuery(query.pair, q_fit, query.costs_x, cap, **rates), 0.0, 0.0))
+    return swept
 
 
 def tradeoff_scenarios(query, mechanism, sweep, points=21):
@@ -773,93 +855,35 @@ def tradeoff_scenarios(query, mechanism, sweep, points=21):
       secrecy curve shifts.
     * ``concatenate``: prefix a binary symmetric auxiliary channel with
       each crossover in the sweep, holding the induced input law fixed;
-      reliability can only fall and secrecy only rise, and this ordering
-      is asserted pointwise.
+      reliability can only fall and secrecy only rise.
     * ``cost_change``: re-fit the info-gap-maximizing input to each cost
       cap in the ascending sweep; reliability is nondecreasing and
       secrecy nonincreasing in the cap at fixed rates.
 
-    Returns a list of TradeoffScenario; the first entry is the baseline.
+    Every swept scenario carries the two checks of ``SWEEP_CHECKS``; the
+    orderings are ``ordered_curves`` on the shared rate grids, so they
+    compare the curves pointwise. Returns a list of TradeoffScenario; the first entry
+    is the baseline.
     """
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
+    swept = _swept_queries(query, mechanism, sweep)
     f_rates, h_rates = rate_windows(query, points, margin=0.05)
+    reference, (f_name, f_dir), (h_name, h_dir) = SWEEP_CHECKS[mechanism]
 
-    def curves(qy, f_offset=0.0, h_offset=0.0):
+    def scenario(label, qy, ref=None, f_offset=0.0, h_offset=0.0):
         f = _curve(qy, "bob", f_rates, "reliability", offset=f_offset)
         h = _curve(qy, "eve", h_rates, "secrecy", offset=h_offset)
-        return f, h
+        checks = {}
+        if ref is not None:
+            checks = {
+                f_name: _sweep_check(f_dir, f, ref.reliability),
+                h_name: _sweep_check(h_dir, h, ref.secrecy),
+            }
+        return TradeoffScenario(label, f, h, checks)
 
-    base_f, base_h = curves(query)
-    scenarios = [TradeoffScenario("base", base_f, base_h)]
-
-    if mechanism == "rate_shift":
-        prev_f, prev_h = base_f, base_h
-        for delta in sweep:
-            f, h = curves(query, f_offset=delta, h_offset=delta)
-            checks = {
-                "reliability_nonincreasing_in_shift": _ordered(prev_f, f),
-                "secrecy_nondecreasing_in_shift": _ordered(h, prev_h),
-            }
-            scenarios.append(TradeoffScenario(f"shift+{delta:g}", f, h, checks))
-            prev_f, prev_h = f, h
-    elif mechanism == "rate_exchange":
-        for delta in sweep:
-            f, h = curves(query, f_offset=0.0, h_offset=delta)
-            diff = float(np.max(np.abs(f.exponents - base_f.exponents)))
-            checks = {
-                "reliability_invariant": (diff == 0.0, -diff),
-                "secrecy_nondecreasing_in_shift": _ordered(h, base_h),
-            }
-            scenarios.append(TradeoffScenario(f"exchange+{delta:g}", f, h, checks))
-    elif mechanism == "concatenate":
-        if query.pair.num_inputs != 2 or query.aux is not None:
-            raise ValueError("concatenation sweeps are defined for binary non-concatenated queries")
-        p1 = float(query.input.probs[1])
-        for eps in sweep:
-            aux = DiscreteChannel.bsc(eps)
-            a, b = 1.0 - eps, eps
-            qv1 = (p1 - b) / (a - b)
-            if not 0.0 <= qv1 <= 1.0:
-                raise ValueError(
-                    f"input law q(1)={p1} is not reachable through a crossover-{eps} prefix"
-                )
-            qv = np.array([1.0 - qv1, qv1])
-            q_plus = ExponentQuery(
-                query.pair, qv, query.costs_x, query.gamma,
-                rate_b=query.rate_b, rate_e=query.rate_e, aux=aux,
-            )
-            f_plus, h_plus = curves(q_plus)
-            checks = {
-                "reliability_drops": _ordered(base_f, f_plus),
-                "secrecy_rises": _ordered(h_plus, base_h),
-            }
-            scenarios.append(TradeoffScenario(f"prefix_bsc_{eps:g}", f_plus, h_plus, checks))
-    else:  # cost_change
-        if query.pair.num_inputs != 2:
-            raise ValueError("cost_change sweeps re-fit the input law and need binary inputs")
-        caps = list(sweep)
-        if sorted(caps) != caps:
-            raise ValueError("cost_change sweep must be ascending")
-        prev = None
-        for cap in caps:
-            q_fit, _ = _best_input_binary(query.pair, query.costs_x, cap)
-            qy = ExponentQuery(
-                query.pair, q_fit, query.costs_x, cap,
-                rate_b=query.rate_b, rate_e=query.rate_e,
-            )
-            f, h = curves(qy)
-            checks = {}
-            if prev is not None:
-                checks = {
-                    "reliability_nondecreasing_in_cap": _ordered(f, prev[0]),
-                    "secrecy_nonincreasing_in_cap": _ordered(prev[1], h),
-                }
-            scenarios.append(TradeoffScenario(f"cap_{cap:g}", f, h, checks))
-            prev = (f, h)
+    scenarios = [scenario("base", query)]
+    for i, (label, qy, f_offset, h_offset) in enumerate(swept):
+        ref = {"base": scenarios[0], "previous": scenarios[-1], "previous swept": scenarios[-1] if i else None}
+        scenarios.append(scenario(label, qy, ref[reference], f_offset, h_offset))
     return scenarios
-
-
-def _ordered(hi_curve, lo_curve):
-    slack = _pointwise_slack(hi_curve, lo_curve)
-    return slack >= -TRADEOFF_TOL, slack

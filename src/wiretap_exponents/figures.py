@@ -5,7 +5,9 @@ pairs for 2-7, the Poisson pair for 8, 9, and 12, the Gaussian pair for
 10, 11, and 13. ``figure_data`` evaluates the underlying curves from the
 fixed parameters, and ``shape_report`` runs the structural checks each
 figure is expected to satisfy (monotone and convex exponent curves, the
-reliability/secrecy crossing where the windows overlap, orderings under
+reliability/secrecy crossing where the windows overlap, figure 9's
+orderings under the prefix) and adds the checks that figures 2-7 carry
+from their tradeoff sweep (orderings under rate shifts, rate exchange,
 concatenation and cost changes).
 """
 
@@ -17,7 +19,7 @@ import numpy as np
 from . import gaussian_wiretap as gw
 from . import poisson_wiretap as pw
 from .channel_core import DiscreteChannel, WiretapPair
-from .exponent_engine import ExponentCurve, ExponentQuery, tradeoff_scenarios
+from .exponent_engine import ExponentCurve, ExponentQuery, ordered_curves, tradeoff_scenarios
 
 BSC_SETUP = {
     "eps_bob": 0.1,
@@ -46,7 +48,6 @@ FIGURE_IDS = tuple(range(2, 14))
 
 CONVEXITY_TOL = 1e-7
 MONOTONE_TOL = 1e-9
-ORDER_TOL = 1e-9
 
 
 @dataclass
@@ -54,6 +55,7 @@ class FigureData:
     fig_id: int
     params: dict
     curves: list = field(default_factory=list)  # (name, ExponentCurve)
+    checks: dict = field(default_factory=dict)  # "<scenario label>/<check>" -> (ok, slack) of the sweep
 
     def curve(self, name):
         for n, c in self.curves:
@@ -62,12 +64,10 @@ class FigureData:
         raise KeyError(name)
 
 
-def bsc_query(gamma=None, q_on=None):
-    setup = BSC_SETUP
-    gamma = setup["gamma"] if gamma is None else gamma
-    q_on = setup["q_on"] if q_on is None else q_on
-    pair = WiretapPair(DiscreteChannel.bsc(setup["eps_bob"]), DiscreteChannel.bsc(setup["eps_eve"]))
-    return ExponentQuery(pair, [1.0 - q_on, q_on], setup["costs"], gamma)
+def bsc_query():
+    s = BSC_SETUP
+    pair = WiretapPair(DiscreteChannel.bsc(s["eps_bob"]), DiscreteChannel.bsc(s["eps_eve"]))
+    return ExponentQuery(pair, [1.0 - s["q_on"], s["q_on"]], s["costs"], s["gamma"])
 
 
 def poisson_params():
@@ -80,13 +80,15 @@ def gaussian_params():
     return gw.GaussianWiretapParams(s["gain_bob"], s["gain_eve"], s["noise_bob"], s["noise_eve"], s["gamma"])
 
 
-def _scenario_curves(mechanism, sweep, points):
-    query = bsc_query()
-    out = []
-    for sc in tradeoff_scenarios(query, mechanism, sweep, points=points):
-        out.append((f"reliability_{sc.label}", sc.reliability))
-        out.append((f"secrecy_{sc.label}", sc.secrecy))
-    return out
+def _scenario_figure(fig_id, params, mechanism, sweep, points, keep=""):
+    """The curves and checks of one tradeoff sweep; ``keep`` keeps one side by its name prefix."""
+    curves, checks = [], {}
+    for sc in tradeoff_scenarios(bsc_query(), mechanism, sweep, points=points):
+        curves += [(f"reliability_{sc.label}", sc.reliability), (f"secrecy_{sc.label}", sc.secrecy)]
+        checks.update({f"{sc.label}/{name}": result for name, result in sc.checks.items()})
+    curves = [(n, c) for n, c in curves if n.startswith(keep)]
+    checks = {n: result for n, result in checks.items() if n.partition("/")[2].startswith(keep)}
+    return FigureData(fig_id, dict(BSC_SETUP, **params), curves, checks)
 
 
 def gaussian_curve(params, side, variant, points):
@@ -127,19 +129,17 @@ def figure_data(fig_id, points=33):
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {fig_id}; valid ids are {list(FIGURE_IDS)}")
     if fig_id == 2:
-        return FigureData(2, dict(BSC_SETUP), _scenario_curves("rate_shift", [], points))
+        return _scenario_figure(2, {}, "rate_shift", [], points)
     if fig_id == 3:
-        return FigureData(3, dict(BSC_SETUP, delta=0.05), _scenario_curves("rate_exchange", [0.05], points))
+        return _scenario_figure(3, {"delta": 0.05}, "rate_exchange", [0.05], points)
     if fig_id == 4:
-        return FigureData(4, dict(BSC_SETUP, eps_aux=0.025), _scenario_curves("concatenate", [0.025], points))
+        return _scenario_figure(4, {"eps_aux": 0.025}, "concatenate", [0.025], points)
     if fig_id == 5:
-        return FigureData(5, dict(BSC_SETUP, deltas=(0.05,)), _scenario_curves("rate_shift", [0.05], points))
+        return _scenario_figure(5, {"deltas": (0.05,)}, "rate_shift", [0.05], points)
     if fig_id in (6, 7):
         caps = [1.0, 1.2, 1.4]
-        curves = _scenario_curves("cost_change", caps, points)
         keep = "reliability" if fig_id == 6 else "secrecy"
-        curves = [(n, c) for n, c in curves if n.startswith(keep)]
-        return FigureData(fig_id, dict(BSC_SETUP, caps=tuple(caps)), curves)
+        return _scenario_figure(fig_id, {"caps": tuple(caps)}, "cost_change", caps, points, keep)
     if fig_id in (8, 12):
         return FigureData(fig_id, dict(POISSON_SETUP), _poisson_pair_curves(points))
     if fig_id == 9:
@@ -162,16 +162,12 @@ def figure_data(fig_id, points=33):
     )
 
 
-def _monotone(values, decreasing, tol=MONOTONE_TOL, strict=False):
-    d = np.diff(values)
-    if decreasing:
-        d = -d
-    bound = 0.0 if strict else -tol
-    ok = bool(np.all(d > bound) if strict else np.all(d >= bound))
-    return ok, float(np.min(d))
+def _monotone(values, decreasing):
+    d = -np.diff(values) if decreasing else np.diff(values)
+    return bool(np.all(d >= -MONOTONE_TOL)), float(np.min(d))
 
 
-def _convex(curve, tol=CONVEXITY_TOL):
+def _convex(curve):
     """Chord slopes must be nondecreasing; valid for uneven rate spacing."""
     if len(curve) < 3:
         return True, 0.0
@@ -179,7 +175,7 @@ def _convex(curve, tol=CONVEXITY_TOL):
     d = np.diff(slopes)
     scale = np.maximum(1.0, np.abs(slopes[:-1]))
     rel = d / scale
-    return bool(np.all(rel >= -tol)), float(np.min(rel))
+    return bool(np.all(rel >= -CONVEXITY_TOL)), float(np.min(rel))
 
 
 def _curves_cross(f_curve, h_curve):
@@ -196,21 +192,8 @@ def _curves_cross(f_curve, h_curve):
     return sign_change, float(np.min(np.abs(diff)))
 
 
-def _ordered_curves(hi, lo, tol=ORDER_TOL):
-    """hi >= lo pointwise, compared on the overlap of the two rate windows."""
-    a = max(hi.rates[0], lo.rates[0])
-    b = min(hi.rates[-1], lo.rates[-1])
-    if b <= a:
-        return False, float("-inf")
-    grid = np.linspace(a, b, 200)
-    slack = float(
-        np.min(np.interp(grid, hi.rates, hi.exponents) - np.interp(grid, lo.rates, lo.exponents))
-    )
-    return slack >= -tol, slack
-
-
 def shape_report(data):
-    """Structural checks for one figure; returns {check: (ok, detail)}."""
+    """Structural checks for one figure, with its sweep's checks; returns {check: (ok, detail)}."""
     checks = {}
     for name, curve in data.curves:
         vals = curve.exponents
@@ -223,37 +206,13 @@ def shape_report(data):
             checks[f"{name}_nondecreasing"] = _monotone(vals, decreasing=False)
             checks[f"{name}_convex"] = _convex(curve)
     if data.fig_id in (5, 8, 9, 12):
-        f_name = "reliability" if data.fig_id != 5 else "reliability_base"
-        h_name = "secrecy" if data.fig_id != 5 else "secrecy_base"
-        checks["curves_cross"] = _curves_cross(data.curve(f_name), data.curve(h_name))
-    if data.fig_id == 4:
-        checks["concat_reliability_drops"] = _ordered_curves(
-            data.curve("reliability_base"), data.curve("reliability_prefix_bsc_0.025")
-        )
-        checks["concat_secrecy_rises"] = _ordered_curves(
-            data.curve("secrecy_prefix_bsc_0.025"), data.curve("secrecy_base")
-        )
+        # Each of these figures lists its base reliability/secrecy pair first.
+        (_, f_curve), (_, h_curve) = data.curves[:2]
+        checks["curves_cross"] = _curves_cross(f_curve, h_curve)
     if data.fig_id == 9:
-        checks["concat_reliability_drops"] = _ordered_curves(
+        checks["concat_reliability_drops"] = ordered_curves(
             data.curve("reliability"), data.curve("reliability_prefixed")
         )
-        checks["concat_secrecy_rises"] = _ordered_curves(
-            data.curve("secrecy_prefixed"), data.curve("secrecy")
-        )
-    if data.fig_id == 3:
-        base = data.curve("reliability_base")
-        moved = data.curve("reliability_exchange+0.05")
-        diff = float(np.max(np.abs(base.exponents - moved.exponents)))
-        checks["reliability_invariant"] = (diff == 0.0, -diff)
-    if data.fig_id in (6, 7):
-        kind = "reliability" if data.fig_id == 6 else "secrecy"
-        caps = data.params["caps"]
-        for small, large in zip(caps, caps[1:]):
-            a = data.curve(f"{kind}_cap_{small:g}")
-            b = data.curve(f"{kind}_cap_{large:g}")
-            pairname = f"{kind}_cap_{small:g}_le_{large:g}"
-            if kind == "reliability":
-                checks[pairname] = _ordered_curves(b, a)
-            else:
-                checks[pairname] = _ordered_curves(a, b)
+        checks["concat_secrecy_rises"] = ordered_curves(data.curve("secrecy_prefixed"), data.curve("secrecy"))
+    checks.update(data.checks)
     return checks

@@ -95,6 +95,8 @@ class DiscretizedPoisson:
 
     def __post_init__(self):
         object.__setattr__(self, "costs", _frozen_array(self.costs, "costs"))
+        object.__setattr__(self, "gamma", _finite_float(self.gamma, "gamma"))
+        object.__setattr__(self, "delta", _finite_float(self.delta, "delta"))
 
     __reduce__ = _rebuild
 

@@ -10,6 +10,9 @@ import math
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# Both bisections stop after this many halvings even if the bracket is
+# still wider than their tolerance.
+MAX_BISECTIONS = 200
 
 
 def golden_max(f, lo, hi, tol=1e-10):
@@ -65,7 +68,7 @@ def golden_min(f, lo, hi, tol=1e-10):
     return x, -v
 
 
-def bisect_root(f, lo, hi, tol=1e-15, max_iter=200):
+def bisect_root(f, lo, hi, tol=1e-15):
     """Root of a continuous function with a sign change on [lo, hi].
 
     Runs until the bracket is narrower than ``tol`` or the midpoint
@@ -82,7 +85,7 @@ def bisect_root(f, lo, hi, tol=1e-15, max_iter=200):
     a, b = lo, hi
     fa = f_lo
     mid, f_mid = a, fa
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
@@ -99,7 +102,7 @@ def bisect_root(f, lo, hi, tol=1e-15, max_iter=200):
     return mid, f(mid)
 
 
-def bisect_boundary(predicate, lo, hi, tol=1e-9, max_iter=200):
+def bisect_boundary(predicate, lo, hi, tol=1e-9):
     """Smallest x in [lo, hi] where a monotone predicate flips to True.
 
     Requires predicate(lo) False and predicate(hi) True.
@@ -109,7 +112,7 @@ def bisect_boundary(predicate, lo, hi, tol=1e-9, max_iter=200):
     if not predicate(hi):
         return hi
     a, b = lo, hi
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (a + b)
         if predicate(mid):
             b = mid

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wiretap_exponents import cli, ensemble_sim, figures
-from wiretap_exponents.exponent_engine import ExponentCurve
+from wiretap_exponents.exponent_engine import ExponentCurve, tradeoff_scenarios
 
 CONFIG = {
     "bob": [[0.9, 0.1], [0.1, 0.9]],
@@ -179,6 +179,43 @@ class TestCommands:
         assert manifest["figures"]["10"]["ok"] is True
         for fname in manifest["figures"]["10"]["files"]:
             assert (tmp_path / fname).exists()
+
+    def test_capacity_at_the_cheapest_cost_of_a_reversed_pair(self, tmp_path, capsys):
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps({**CONFIG, "bob": CONFIG["eve"], "eve": CONFIG["bob"], "gamma": 1.0}))
+        assert cli.main(["capacity", "--config", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value_nats"] == 0.0 and payload["heuristic_lower_bound"] is True
+        assert payload["aux_channel"] == [[1.0, 0.0], [1.0, 0.0]]
+
+    # figure -> (mechanism, sweep, side kept, its sweep checks in the manifest)
+    SWEEP_FIGURES = {
+        3: ("rate_exchange", [0.05], "", {"exchange+0.05/reliability_invariant",
+                                          "exchange+0.05/secrecy_nondecreasing_in_shift"}),
+        4: ("concatenate", [0.025], "", {"prefix_bsc_0.025/reliability_drops", "prefix_bsc_0.025/secrecy_rises"}),
+        5: ("rate_shift", [0.05], "", {"shift+0.05/reliability_nonincreasing_in_shift",
+                                       "shift+0.05/secrecy_nondecreasing_in_shift"}),
+        6: ("cost_change", [1.0, 1.2, 1.4], "reliability", {"cap_1.2/reliability_nondecreasing_in_cap",
+                                                            "cap_1.4/reliability_nondecreasing_in_cap"}),
+        7: ("cost_change", [1.0, 1.2, 1.4], "secrecy", {"cap_1.2/secrecy_nonincreasing_in_cap",
+                                                        "cap_1.4/secrecy_nonincreasing_in_cap"}),
+    }
+
+    @pytest.mark.parametrize("fig_id", SWEEP_FIGURES)
+    def test_figure_manifest_reports_the_sweep_checks(self, fig_id, tmp_path, capsys):
+        mechanism, sweep, keep, names = self.SWEEP_FIGURES[fig_id]
+        assert cli.main(["figures", "--which", str(fig_id), "--out-dir", str(tmp_path), "--points", "7"]) == 0
+        entry = json.loads(capsys.readouterr().out)["figures"][str(fig_id)]
+        sweep_checks = {k: v for k, v in entry["checks"].items() if "/" in k}
+        assert set(sweep_checks) == names
+        for sc in tradeoff_scenarios(figures.bsc_query(), mechanism, sweep, points=7):
+            for name, (ok, slack) in sc.checks.items():
+                if name.startswith(keep):
+                    assert sweep_checks[f"{sc.label}/{name}"] == {"ok": ok, "detail": slack}
+        # Every other check belongs to one curve, or is the crossing.
+        curves = [f[len(f"fig{fig_id}_"):-len(".csv")] for f in entry["files"]]
+        per_curve = {f"{c}_{kind}" for c in curves for kind in ("convex", "nonincreasing", "nondecreasing")}
+        assert set(entry["checks"]) - names <= per_curve | {"curves_cross"}
 
     def test_tradeoff_exchange(self, config_path, capsys):
         code = cli.main(

@@ -138,6 +138,12 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             fig_query(rate_b=-0.1)
 
+    def test_negative_x_cost_rejected_behind_a_prefix(self):
+        # The lifted cost on V, (1.1, 2.55), is nonnegative, but X letter 0 costs -0.5.
+        aux = DiscreteChannel([[0.5, 0.5], [0.1, 0.9]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            ExponentQuery(bsc_pair(), [0.5, 0.5], [-0.5, 3.0], 2.0, aux=aux)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_rates_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -256,6 +262,15 @@ class TestSecrecyCapacity:
         result = secrecy_capacity(pair, [1.0, 1.0], 2.0, aux_dim=2, seed=1)
         assert result.heuristic and not result.more_capable
         assert 0.0 <= result.value <= 1e-3
+
+    def test_cap_at_the_cheapest_cost_without_more_capable_gives_zero(self):
+        # No sampled auxiliary point meets a cap at the cheapest cost; the
+        # point mass on the cheapest letter does, with gap 0.
+        result = secrecy_capacity(bsc_pair(0.3, 0.1), [1.0, 2.0], 1.0)
+        assert result.value == 0.0
+        assert result.heuristic and not result.more_capable
+        assert np.array_equal(result.aux.rows, [[1.0, 0.0], [1.0, 0.0]])
+        assert result.input_law.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_ternary_more_capable_path(self):
         rows_b = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
@@ -422,6 +437,86 @@ class TestTradeoffScenarios:
         query = ExponentQuery(bsc_pair(), [0.98, 0.02], [1.0, 2.0], 1.4)
         with pytest.raises(ValueError, match="not reachable"):
             tradeoff_scenarios(query, "concatenate", [0.025], points=5)
+
+
+# Every ordering check of tradeoff_scenarios at points=7, written out as
+# (scenario label, check name) -> ((label, side) above, (label, side)
+# below); its slack is min(above - below) on the shared rate grid.
+# "reliability_invariant" is bit identity to the base curve instead.
+SWEEP_ORDERINGS = {
+    ("rate_shift", (0.03, 0.06)): {
+        ("shift+0.03", "reliability_nonincreasing_in_shift"): (("base", "reliability"), ("shift+0.03", "reliability")),
+        ("shift+0.03", "secrecy_nondecreasing_in_shift"): (("shift+0.03", "secrecy"), ("base", "secrecy")),
+        ("shift+0.06", "reliability_nonincreasing_in_shift"): (
+            ("shift+0.03", "reliability"), ("shift+0.06", "reliability")
+        ),
+        ("shift+0.06", "secrecy_nondecreasing_in_shift"): (("shift+0.06", "secrecy"), ("shift+0.03", "secrecy")),
+    },
+    ("rate_exchange", (0.05,)): {
+        ("exchange+0.05", "reliability_invariant"): None,
+        ("exchange+0.05", "secrecy_nondecreasing_in_shift"): (("exchange+0.05", "secrecy"), ("base", "secrecy")),
+    },
+    ("concatenate", (0.025,)): {
+        ("prefix_bsc_0.025", "reliability_drops"): (("base", "reliability"), ("prefix_bsc_0.025", "reliability")),
+        ("prefix_bsc_0.025", "secrecy_rises"): (("prefix_bsc_0.025", "secrecy"), ("base", "secrecy")),
+    },
+    ("cost_change", (1.0, 1.2, 1.4)): {
+        ("cap_1.2", "reliability_nondecreasing_in_cap"): (("cap_1.2", "reliability"), ("cap_1", "reliability")),
+        ("cap_1.2", "secrecy_nonincreasing_in_cap"): (("cap_1", "secrecy"), ("cap_1.2", "secrecy")),
+        ("cap_1.4", "reliability_nondecreasing_in_cap"): (("cap_1.4", "reliability"), ("cap_1.2", "reliability")),
+        ("cap_1.4", "secrecy_nonincreasing_in_cap"): (("cap_1.2", "secrecy"), ("cap_1.4", "secrecy")),
+    },
+}
+
+
+@pytest.mark.parametrize("mechanism, sweep", SWEEP_ORDERINGS, ids=[m for m, _ in SWEEP_ORDERINGS])
+def test_sweep_checks_are_the_pointwise_slacks(mechanism, sweep):
+    scenarios = tradeoff_scenarios(fig_query(), mechanism, list(sweep), points=7)
+    curves = {(sc.label, side): getattr(sc, side) for sc in scenarios for side in ("reliability", "secrecy")}
+    found = {(sc.label, name): result for sc in scenarios for name, result in sc.checks.items()}
+    expected = SWEEP_ORDERINGS[mechanism, sweep]
+    assert set(found) == set(expected)
+    base = curves["base", "reliability"].exponents
+    for key, pair in expected.items():
+        if pair is None:
+            diff = float(np.max(np.abs(curves[key[0], "reliability"].exponents - base)))
+            assert found[key] == (diff == 0.0, -diff)
+            continue
+        slack = float(np.min(curves[pair[0]].exponents - curves[pair[1]].exponents))
+        assert found[key][1].hex() == slack.hex()
+        assert found[key][0] == (slack >= -1e-9)
+
+
+class TestOrderedCurves:
+    def test_violation_between_grid_points_is_found(self):
+        # 401 shared knots; hi sits 1e-4 above lo except at knot 201
+        # (rate 0.5025), where it sits 2e-9 below. A 200-point grid over
+        # [0, 1] passes 1.3e-5 from that knot, where the gap is back to +5e-7.
+        rates = np.linspace(0.0, 1.0, 401)
+        lo_vals = 0.5 * (1.0 - rates) ** 2 + 0.01
+        hi_vals = lo_vals + 1e-4
+        hi_vals[201] = lo_vals[201] - 2e-9
+        ok, slack = engine.ordered_curves(ExponentCurve(rates, hi_vals), ExponentCurve(rates, lo_vals))
+        assert not ok
+        assert slack == float(np.min(hi_vals - lo_vals)) and slack == pytest.approx(-2e-9, rel=1e-6)
+
+    def test_different_grids_give_the_exact_piecewise_linear_minimum(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            hi = ExponentCurve(np.sort(rng.uniform(0.0, 1.0, 9)), rng.uniform(0.5, 1.0, 9))
+            lo = ExponentCurve(np.sort(rng.uniform(0.2, 1.2, 13)), rng.uniform(0.0, 1.0, 13))
+            a, b = max(hi.rates[0], lo.rates[0]), min(hi.rates[-1], lo.rates[-1])
+            if b < a:
+                continue
+            _, slack = engine.ordered_curves(hi, lo)
+            dense = np.union1d(np.linspace(a, b, 20001), [r for r in np.r_[hi.rates, lo.rates] if a <= r <= b])
+            gap = np.interp(dense, hi.rates, hi.exponents) - np.interp(dense, lo.rates, lo.exponents)
+            assert slack == pytest.approx(gap.min(), abs=1e-15)
+
+    def test_disjoint_windows_are_not_ordered(self):
+        hi = ExponentCurve([0.0, 0.1], [1.0, 1.0])
+        lo = ExponentCurve([0.2, 0.3], [0.0, 0.0])
+        assert engine.ordered_curves(hi, lo) == (False, -math.inf)
 
 
 def reference_optimize(query, side, rate):

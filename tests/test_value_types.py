@@ -13,6 +13,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap_exponents import ensemble_sim, figures
 from wiretap_exponents import gaussian_wiretap as gw
@@ -186,3 +188,58 @@ CONFIG = {
 def test_config_rejects_non_finite(key, bad):
     with pytest.raises(ValueError, match="finite"):
         parse_wiretap_config({**CONFIG, key: bad})
+
+
+# name -> (valid arguments, build(*arguments)). The property test puts
+# NaN, +inf or -inf in place of any one number of the arguments.
+NUMERIC_ARGS = {
+    "DiscreteChannel": ([[[0.9, 0.1], [0.2, 0.8]]], DiscreteChannel),
+    "CostedInput": ([[0.6, 0.4], [1.0, 2.0], 2.0], CostedInput),
+    "ExponentQuery": ([[0.6, 0.4], [1.0, 2.0], 1.4, 0.1, 0.2], lambda *a: ExponentQuery(_pair(), *a)),
+    "EnsembleSpec": ([3, 2, 2, [0.5, 0.5]], lambda *a: ensemble_sim.EnsembleSpec(_pair(), *a)),
+    "OutputEnsemble": ([[[0.5, 0.5], [0.2, 0.8]], [0.4, 0.6]], OutputEnsemble),
+    "PoissonWiretapParams": ([12.0, 5.0, 0.5, 1.5, 0.5], pw.PoissonWiretapParams),
+    "GaussianWiretapParams": ([1.0, 0.5, 0.5, 0.8, 0.5], gw.GaussianWiretapParams),
+    "ConcatenationParams": ([0.98, 0.02], pw.ConcatenationParams),
+    "CapacityResult": ([0.2, [0.6, 0.4], 0.01], lambda v, q, gap: CapacityResult(v, q, None, True, False, gap)),
+    "DiscretizedPoisson": ([[0.0, 1.0], 0.5, 1e-3], lambda *a: pw.DiscretizedPoisson(_pair(), *a)),
+    "ExponentCurve": ([[0.1, 0.2], [0.6, 0.7]], ExponentCurve),
+    "MoreCapableResult": ([[0.6, 0.4], 0.01], lambda q, gap: MoreCapableResult(True, q, gap)),
+    "parse_wiretap_config": (
+        [CONFIG["bob"], CONFIG["eve"], CONFIG["costs"], CONFIG["gamma"], CONFIG["q"]],
+        lambda bob, eve, costs, gamma, q: parse_wiretap_config(
+            {"bob": bob, "eve": eve, "costs": costs, "gamma": gamma, "q": q}
+        ),
+    ),
+}
+
+
+def _number_paths(value, path=()):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _number_paths(item, path + (i,))
+    else:
+        yield path
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    return [_replaced(item, path[1:], new) if i == path[0] else item for i, item in enumerate(value)]
+
+
+@pytest.mark.parametrize("name", NUMERIC_ARGS)
+def test_numeric_arguments_build(name):
+    args, build = NUMERIC_ARGS[name]
+    build(*args)
+
+
+@pytest.mark.parametrize("name", NUMERIC_ARGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_non_finite_number_is_rejected(name, data):
+    args, build = NUMERIC_ARGS[name]
+    path = data.draw(st.sampled_from(list(_number_paths(args))), label="position")
+    bad = data.draw(st.sampled_from([NAN, INF, -INF]), label="value")
+    with pytest.raises(ValueError):
+        build(*_replaced(args, path, bad))
