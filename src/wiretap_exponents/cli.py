@@ -489,6 +489,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "points", 2) < 2:
+            raise ValueError(f"--points must be at least 2, got {args.points}")
         return args.fn(args)
     except ValueError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)

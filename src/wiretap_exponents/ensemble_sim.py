@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_core import WiretapPair, _as_prob_vector, _frozen_array, _rebuild
+from .channel_core import WiretapPair, _divergences, _laws, _rebuild
 from .exponent_engine import ExponentQuery, _envelope, _optimize
 from .solvers import scan_then_golden_max
 
@@ -64,7 +64,7 @@ class EnsembleSpec:
             raise ValueError(f"block length must be in [1, {MAX_BLOCK}], got {n}")
         if M < 1 or L < 1 or M * L > MAX_CODEBOOK:
             raise ValueError(f"need M, L >= 1 with M*L <= {MAX_CODEBOOK}, got M={M}, L={L}")
-        q = _as_prob_vector(_frozen_array(self.q, "input distribution"), "input distribution")
+        q = _laws(self.q, "input distribution")
         if q.shape != (2,):
             raise ValueError("input distribution must be binary")
         object.__setattr__(self, "n", n)
@@ -145,15 +145,14 @@ def _divergence_work(n, L):
 
 
 def _subcode_divergences(lk, target, idx):
-    """D(mean of lk[idx[i]] || target) for each row i, DIVERGENCE_BLOCK rows at a time."""
+    """D(mean of lk[idx[i]] || target) for each row i, DIVERGENCE_BLOCK rows at a time.
+
+    ``idx`` holds codewords of positive input mass only, so the target is positive wherever a mixture is.
+    """
     divs = np.empty(len(idx))
     for start in range(0, len(idx), DIVERGENCE_BLOCK):
         rows = slice(start, start + DIVERGENCE_BLOCK)
-        mixtures = lk[idx[rows]].mean(axis=1)
-        positive = mixtures > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(positive, np.log(np.where(positive, mixtures, 1.0)) - np.log(target), 0.0)
-        divs[rows] = np.sum(mixtures * logs, axis=1)
+        divs[rows] = _divergences(lk[idx[rows]].mean(axis=1), target)
     return divs
 
 
@@ -240,22 +239,28 @@ def holder_gap(spec, rho):
     return _psi(rho, spec.pair.eve, spec.q) - _envelope(_trivial_cost_query(spec), "eve")(1.0 - rho)[0]
 
 
+def _mc_draws(spec, channel, samples, seed, width):
+    """W^n of ``channel``, q^n, and samples x width codewords drawn i.i.d. from q^n; needs samples >= 2."""
+    samples = _whole_number(samples, "samples")
+    if samples < 2:
+        raise ValueError(f"Monte Carlo needs at least 2 samples for a standard error, got {samples}")
+    lk = _likelihood_table(channel, spec.n)
+    qn = _block_input_probs(spec.q, spec.n)
+    return lk, qn, np.random.default_rng(seed).choice(1 << spec.n, size=(samples, width), p=qn)
+
+
 def mc_ensemble_error(spec, samples=100_000, seed=0):
     """Monte Carlo estimate of the ensemble error; returns (mean, stderr).
 
     Codebooks are sampled; the error probability of each sampled codebook
     is then computed exactly over outputs, so the only noise is across
-    codebooks.
+    codebooks. Needs at least 2 samples.
     """
-    n, M, L = spec.n, spec.M, spec.L
-    ml = M * L
-    rng = np.random.default_rng(seed)
-    lk = _likelihood_table(spec.pair.bob, n)
-    qn = _block_input_probs(spec.q, n)
-    size = 1 << n
-    idx = rng.choice(size, size=(samples, ml), p=qn)
+    ml = spec.M * spec.L
+    lk, _, idx = _mc_draws(spec, spec.pair.bob, samples, seed, ml)
+    samples = len(idx)
     err = np.zeros(samples)
-    for y in range(size):
+    for y in range(lk.shape[1]):
         cols = lk[idx, y]
         best = np.argmax(cols, axis=1)
         sent_mass = cols.sum(axis=1)
@@ -265,14 +270,10 @@ def mc_ensemble_error(spec, samples=100_000, seed=0):
 
 
 def mc_ensemble_divergence(spec, samples=100_000, seed=0):
-    """Monte Carlo estimate of the subcode divergence; returns (mean, stderr)."""
-    n, L = spec.n, spec.L
-    rng = np.random.default_rng(seed)
-    lk = _likelihood_table(spec.pair.eve, n)
-    qn = _block_input_probs(spec.q, n)
-    idx = rng.choice(1 << n, size=(samples, L), p=qn)
+    """Monte Carlo estimate of the subcode divergence; returns (mean, stderr); needs at least 2 samples."""
+    lk, qn, idx = _mc_draws(spec, spec.pair.eve, samples, seed, spec.L)
     divs = _subcode_divergences(lk, qn @ lk, idx)
-    return float(divs.mean()), float(divs.std(ddof=1) / math.sqrt(samples))
+    return float(divs.mean()), float(divs.std(ddof=1) / math.sqrt(len(divs)))
 
 
 def certification_report(spec):

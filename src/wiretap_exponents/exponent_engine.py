@@ -35,6 +35,7 @@ from .channel_core import (
     DiscreteChannel,
     WiretapPair,
     _cost_vector,
+    _divergences,
     _finite_float,
     _frozen_array,
     _info_gap,
@@ -616,12 +617,7 @@ def _gap_gradient(q, bob, eve):
     A zero output marginal has its log floored at the smallest normal
     float, so the gradient stays finite on the simplex boundary.
     """
-
-    def divergences(rows):
-        log_ratio = np.log(np.where(rows > 0.0, rows, 1.0)) - np.log(np.maximum(q @ rows, np.finfo(np.float64).tiny))
-        return np.where(rows > 0.0, rows * log_ratio, 0.0).sum(axis=1)
-
-    return divergences(bob) - divergences(eve)
+    return _divergences(bob, q @ bob) - _divergences(eve, q @ eve)
 
 
 def _best_input_gradient(pair, costs, gamma, seed):
@@ -708,10 +704,12 @@ def secrecy_capacity(pair, costs, gamma, aux_dim=2, seed=0):
     lower bound flagged as heuristic; no cardinality bound for V is
     known, so ``aux_dim`` is a user knob.
 
-    Costs must be finite, nonnegative and one per input letter, and the
-    cap ``gamma`` finite and at least the cheapest cost; otherwise
-    ValueError.
+    Costs must be finite, nonnegative and one per input letter, the cap
+    ``gamma`` finite and at least the cheapest cost, and ``aux_dim`` at
+    least 1 (for every pair); otherwise ValueError.
     """
+    if aux_dim < 1:
+        raise ValueError(f"auxiliary alphabet size must be at least 1, got {aux_dim}")
     costs = _cost_vector(costs, pair.num_inputs)
     gamma = _finite_float(gamma, "cost cap")
     if gamma < costs.min():
@@ -760,22 +758,21 @@ def rate_windows(query, points, margin):
     return f_rates, h_rates
 
 
+def _knot_difference(f, h):
+    """f - h, exact at the knots of either curve inside the overlap of their rate windows, in rate order."""
+    rates = np.sort(np.concatenate((f.rates, h.rates)))
+    rates = rates[(rates >= max(f.rates[0], h.rates[0])) & (rates <= min(f.rates[-1], h.rates[-1]))]
+    return np.interp(rates, f.rates, f.exponents) - np.interp(rates, h.rates, h.exponents)
+
+
 def ordered_curves(hi, lo):
     """(ok, slack): ``hi >= lo`` to TRADEOFF_TOL on the overlap of the two rate windows.
 
-    Both curves are compared at every rate of either one inside the
-    overlap. ``np.interp`` returns knot values exactly, so curves on one
-    rate grid are compared pointwise, and on different grids the slack
-    is the exact minimum of the piecewise-linear difference. Windows that
-    do not overlap give (False, -inf).
+    The slack is the minimum of ``_knot_difference``: pointwise on a shared rate grid, exact for the
+    piecewise-linear curves on different grids. Windows that do not overlap give (False, -inf).
     """
-    a = max(hi.rates[0], lo.rates[0])
-    b = min(hi.rates[-1], lo.rates[-1])
-    if b < a:
-        return False, _NEG_INF
-    rates = np.concatenate((hi.rates, lo.rates))
-    rates = rates[(rates >= a) & (rates <= b)]
-    slack = float(np.min(np.interp(rates, hi.rates, hi.exponents) - np.interp(rates, lo.rates, lo.exponents)))
+    diff = _knot_difference(hi, lo)
+    slack = float(diff.min()) if diff.size else _NEG_INF
     return slack >= -TRADEOFF_TOL, slack
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import gaussian_wiretap as gw
 from . import poisson_wiretap as pw
 from .channel_core import DiscreteChannel, WiretapPair
-from .exponent_engine import ExponentCurve, ExponentQuery, ordered_curves, tradeoff_scenarios
+from .exponent_engine import ExponentCurve, ExponentQuery, _knot_difference, ordered_curves, tradeoff_scenarios
 
 BSC_SETUP = {
     "eps_bob": 0.1,
@@ -179,17 +179,14 @@ def _convex(curve):
 
 
 def _curves_cross(f_curve, h_curve):
-    """True when the two exponent curves intersect on overlapping rates."""
-    lo = max(f_curve.rates[0], h_curve.rates[0])
-    hi = min(f_curve.rates[-1], h_curve.rates[-1])
-    if hi <= lo:
-        return False, 0.0
-    grid = np.linspace(lo, hi, 200)
-    f = np.interp(grid, f_curve.rates, f_curve.exponents)
-    h = np.interp(grid, h_curve.rates, h_curve.exponents)
-    diff = f - h
-    sign_change = bool(np.any(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0) or np.any(diff == 0.0))
-    return sign_change, float(np.min(np.abs(diff)))
+    """(crosses, margin): the curves intersect on overlapping rates; no overlap gives (False, -inf).
+
+    They cross when f - h at the knots (``_knot_difference``) takes both signs or zero, so when the
+    margin min(max(f - h), max(h - f)), the least shift of one curve that undoes the crossing, is >= 0.
+    """
+    diff = _knot_difference(f_curve, h_curve)
+    margin = float(min(diff.max(), -diff.min())) if diff.size else -math.inf
+    return margin >= 0.0, margin
 
 
 def shape_report(data):

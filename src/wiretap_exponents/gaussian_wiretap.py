@@ -97,14 +97,19 @@ def _parametric_exponent(snr, rho):
     return rho * rho * snr / (2.0 * (1.0 + rho) * (1.0 + rho + snr))
 
 
+def _critical_beta(snr):
+    """beta = exp(2 * rate) at the explicit variant's critical rate."""
+    return 0.5 * (1.0 + 0.5 * snr + math.sqrt(1.0 + 0.25 * snr * snr))
+
+
 def critical_rates(params):
     """The two critical rates (parametric variant, explicit variant) for the main channel.
 
     The parametric one never exceeds the explicit one.
     """
     a = params.snr_bob
-    r_param = 0.5 * math.log1p(0.5 * a) - a / (4.0 * (2.0 + a))
-    r_expl = 0.5 * math.log(0.5 + 0.25 * a + 0.5 * math.sqrt(1.0 + 0.25 * a * a))
+    r_param = _parametric_rate(a, 1.0)
+    r_expl = 0.5 * math.log(_critical_beta(a))
     if r_param > r_expl + CRITICAL_TOL:
         raise AssertionError(f"critical rates out of order: {r_param} > {r_expl}")
     return r_param, r_expl
@@ -132,13 +137,13 @@ def reliability_forward_tilt(params, rate):
 
     Above its critical rate the exponent follows the parametric curve
     (the rate map is inverted by bisection); below it the curve
-    continues as a straight line of slope -1.
+    continues as the line of slope -1 through its point at rho = 1.
     """
     cap = _check_total_rate(params, rate)
     a = params.snr_bob
     r_crit, _ = critical_rates(params)
     if rate < r_crit:
-        return 0.5 * math.log1p(0.5 * a) - rate
+        return _parametric_exponent(a, 1.0) + r_crit - rate
     rate = min(rate, cap)
     rho = _invert_monotone(lambda r: _parametric_rate(a, r), rate, 0.0, 1.0, decreasing=True)
     return _parametric_exponent(a, rho)
@@ -151,7 +156,7 @@ def reliability_gallager(params, rate):
     _, r_crit = critical_rates(params)
     if rate >= r_crit:
         return _gallager_form(a, math.exp(2.0 * min(rate, cap)))
-    beta = 0.5 * (1.0 + 0.5 * a + math.sqrt(1.0 + 0.25 * a * a))
+    beta = _critical_beta(a)
     return (
         1.0
         - beta

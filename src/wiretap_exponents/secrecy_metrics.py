@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_core import _as_prob_vector, _frozen_array, _rebuild
+from .channel_core import _divergences, _laws, _rebuild
 
 ZERO_MASS = 1e-300
 IDENTITY_TOL = 1e-10
@@ -34,12 +34,8 @@ class OutputEnsemble:
     target: np.ndarray
 
     def __post_init__(self):
-        members = _frozen_array(self.members, "members")
-        if members.ndim != 2 or members.size == 0:
-            raise ValueError(f"members must be a non-empty 2-D array, got shape {members.shape}")
-        for i, row in enumerate(members):
-            _as_prob_vector(row, f"member {i}")
-        target = _as_prob_vector(_frozen_array(self.target, "target"), "target")
+        members = _laws(self.members, "members", ndim=2)
+        target = _laws(self.target, "target")
         if target.shape[0] != members.shape[1]:
             raise ValueError("target alphabet does not match the members")
         object.__setattr__(self, "members", members)
@@ -68,30 +64,37 @@ class OutputEnsemble:
             return cls.from_json(json.load(fh))
 
 
-def _kl(p, r, what):
-    """KL divergence D(p || r) in nats; raises on an absolute-continuity breach."""
-    bad = (r <= ZERO_MASS) & (p > 0.0)
-    if np.any(bad):
-        z = int(np.argmax(bad))
-        raise ValueError(f"absolute continuity violated for {what} at symbol {z}")
-    mask = p > 0.0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(r[mask]))))
+def _kl(rows, ref, what):
+    """D(row || ref) in nats for one law or each member row; raises on an absolute-continuity breach."""
+    bad = (ref <= ZERO_MASS) & (rows > 0.0)
+    if bad.any():
+        *member, z = np.argwhere(bad)[0].tolist()
+        who = f"member {member[0]} vs {what}" if member else what
+        raise ValueError(f"absolute continuity violated for {who} at symbol {z}")
+    return _divergences(rows, ref)
 
 
-def _tv(p, r):
-    return float(np.abs(p - r).sum())
+def _tv(rows, ref):
+    return np.abs(rows - ref).sum(axis=-1)
 
 
 def divergence_distance(ensemble):
     """Mean KL divergence of the members from the target, in nats."""
-    t = ensemble.target
-    return sum(_kl(m, t, f"member {i} vs target") for i, m in enumerate(ensemble.members)) / ensemble.size
+    return float(_kl(ensemble.members, ensemble.target, "target").mean())
 
 
 def variational_distance(ensemble):
     """Mean L1 distance of the members from the target."""
-    t = ensemble.target
-    return sum(_tv(m, t) for m in ensemble.members) / ensemble.size
+    return float(_tv(ensemble.members, ensemble.target).mean())
+
+
+def _divergence_split(ensemble, avg):
+    total = divergence_distance(ensemble)
+    leakage = float(_kl(ensemble.members, avg, "ensemble average").mean())
+    stealth = float(_kl(avg, ensemble.target, "ensemble average vs target"))
+    if abs(total - (leakage + stealth)) > IDENTITY_TOL:
+        raise AssertionError(f"divergence split broke: {total} != {leakage} + {stealth}")
+    return total, leakage, stealth
 
 
 def mutual_information_measure(ensemble):
@@ -102,23 +105,12 @@ def mutual_information_measure(ensemble):
     the target. Their sum reproduces divergence_distance to 1e-10; the
     identity is verified here rather than assumed.
     """
-    avg = ensemble.average
-    leakage = sum(
-        _kl(m, avg, f"member {i} vs ensemble average") for i, m in enumerate(ensemble.members)
-    ) / ensemble.size
-    stealth = _kl(avg, ensemble.target, "ensemble average vs target")
-    total = divergence_distance(ensemble)
-    if abs(total - (leakage + stealth)) > IDENTITY_TOL:
-        raise AssertionError(
-            f"divergence split broke: {total} != {leakage} + {stealth}"
-        )
-    return leakage, stealth
+    return _divergence_split(ensemble, ensemble.average)[1:]
 
 
 def mean_distance_to_average(ensemble):
     """Mean L1 distance of the members from the ensemble average."""
-    avg = ensemble.average
-    return sum(_tv(m, avg) for m in ensemble.members) / ensemble.size
+    return float(_tv(ensemble.members, ensemble.average).mean())
 
 
 def inequality_slacks(ensemble):
@@ -136,11 +128,11 @@ def inequality_slacks(ensemble):
     All inequality slacks are nonnegative for any valid ensemble, and the
     residual vanishes to 1e-10.
     """
-    div = divergence_distance(ensemble)
+    avg = ensemble.average
+    div, leakage, stealth = _divergence_split(ensemble, avg)
     var = variational_distance(ensemble)
-    dav = mean_distance_to_average(ensemble)
-    leakage, stealth = mutual_information_measure(ensemble)
-    avg_gap = _tv(ensemble.average, ensemble.target)
+    dav = float(_tv(ensemble.members, avg).mean())
+    avg_gap = float(_tv(avg, ensemble.target))
     return {
         "pinsker": 2.0 * div - var * var,
         "triangle": 2.0 * var - dav,

@@ -181,6 +181,41 @@ class TestLiftedCost:
         assert lifted == pytest.approx(induced, abs=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "costs", [[1.0, math.nan], [math.inf, 1.0], [-math.inf, 1.0], [1.0, -0.5], [1.0], [1.0, 2.0, 3.0]]
+    )
+    def test_bad_costs_rejected(self, costs):
+        # Unchecked, the first four would give NaN, infinite or negative lifted costs.
+        with pytest.raises(ValueError):
+            lifted_cost(DiscreteChannel.bsc(0.1), costs)
+
+
+def oracle_divergence(p, r):
+    # D(p || r) one term at a time; a zero in r is floored at the smallest normal float.
+    tiny = np.finfo(np.float64).tiny
+    return sum(pi * (math.log(pi) - math.log(max(ri, tiny))) for pi, ri in zip(p, r) if pi > 0.0)
+
+
+class TestDivergences:
+    def test_matches_a_scalar_oracle_with_zeros(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            k, n = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            rows = rng.dirichlet(np.ones(k), size=n) * (rng.random((n, k)) < 0.7)
+            ref = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
+            want = [oracle_divergence(row, ref) for row in rows]
+            assert channel_core._divergences(rows, ref) == pytest.approx(want, rel=1e-13, abs=1e-15)
+            assert channel_core._divergences(rows[0], ref) == pytest.approx(want[0], rel=1e-13, abs=1e-15)
+
+    def test_zero_terms(self):
+        # A zero row entry adds nothing, even against a zero reference; a
+        # positive one against a zero reference is floored, not infinite.
+        tiny = np.finfo(np.float64).tiny
+        assert channel_core._divergences(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 0.0
+        got = channel_core._divergences(np.array([[0.5, 0.5]]), np.array([1.0, 0.0]))
+        assert got.shape == (1,) and got[0] == pytest.approx(0.5 * math.log(0.5 / tiny) + 0.5 * math.log(0.5))
+
+
 class TestMoreCapable:
     def test_degraded_bsc_pair(self):
         pair = WiretapPair(DiscreteChannel.bsc(0.1), DiscreteChannel.bsc(0.3))

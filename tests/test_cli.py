@@ -291,6 +291,48 @@ class TestExitCodes:
             cli.main(argv)
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("points", [0, 1])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exponents", "--config", "{config}"],
+            ["poisson", "curves", "--Ay", "12", "--Az", "5", "--ly", "0.5", "--lz", "1.5", "--gamma", "0.5",
+             "--q", "0.38"],
+            ["gaussian", "reliability", "--Ay", "1", "--Az", "0.5", "--sy", "0.5", "--sz", "0.8", "--gamma", "0.5"],
+            ["figures", "--which", "10", "--out-dir", "{out}"],
+            ["figures", "--which", "2", "--out-dir", "{out}"],
+        ],
+    )
+    def test_points_below_two_is_two(self, argv, points, config_path, tmp_path, capsys):
+        out_dir = tmp_path / "figures"
+        argv = [a.format(config=config_path, out=out_dir) for a in argv]
+        assert cli.main([*argv, "--points", str(points)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--points must be at least 2" in captured.err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("aux_dim", [0, -1])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["more_capable", "not_more_capable"])
+    def test_aux_dim_below_one_is_two(self, aux_dim, reverse, tmp_path, capsys):
+        doc = {**CONFIG, "bob": CONFIG["eve"], "eve": CONFIG["bob"]} if reverse else CONFIG
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["capacity", "--config", str(path), "--aux-dim", str(aux_dim)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "auxiliary alphabet size must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("samples, code", [(1, 2), (-1, 2), (2, 0), (0, 0)])
+    def test_monte_carlo_sample_count(self, samples, code, capsys):
+        argv = ["ensemble", "--n", "3", "--M", "2", "--L", "2", "--eps-y", "0.1", "--eps-z", "0.3"]
+        assert cli.main([*argv, "--mc-samples", str(samples)]) == code
+        out = capsys.readouterr().out
+        if code:
+            assert out == ""
+        else:
+            # Strict JSON: NaN and Infinity are not numbers in it.
+            payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON output"))
+            assert ("monte_carlo" in payload) == (samples > 0)
+
     def test_bad_config_key_is_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CONFIG, "zzz": 1}))

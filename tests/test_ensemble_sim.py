@@ -82,6 +82,37 @@ class TestExactDivergence:
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_subcode_divergences_are_the_written_out_formula_bit_for_bit(self, n, L):
+        def written_out(lk, target, idx):
+            divs = np.empty(len(idx))
+            for start in range(0, len(idx), es.DIVERGENCE_BLOCK):
+                rows = slice(start, start + es.DIVERGENCE_BLOCK)
+                mixtures = lk[idx[rows]].mean(axis=1)
+                positive = mixtures > 0.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    logs = np.where(positive, np.log(np.where(positive, mixtures, 1.0)) - np.log(target), 0.0)
+                divs[rows] = np.sum(mixtures * logs, axis=1)
+            return divs
+
+        rng = np.random.default_rng([n, L])
+        for eps, q1 in ((0.0, 0.5), (0.2, 0.5), (0.1, 0.1)):
+            spec = es.EnsembleSpec(pair(0.1, eps), n, 1, L, [1.0 - q1, q1])
+            lk = es._likelihood_table(spec.pair.eve, n)
+            qn = es._block_input_probs(spec.q, n)
+            # 1500 subcodes: more than one block of the helper.
+            idx = rng.choice(1 << n, size=(1500, L), p=qn)
+            target = qn @ lk
+            assert np.array_equal(es._subcode_divergences(lk, target, idx), written_out(lk, target, idx))
+
+    @pytest.mark.parametrize("samples", [1, 0, -3, 2.5])
+    def test_monte_carlo_needs_two_samples(self, samples):
+        spec = es.EnsembleSpec(pair(), 3, 2, 2, [0.5, 0.5])
+        for estimate in (es.mc_ensemble_error, es.mc_ensemble_divergence):
+            with pytest.raises(ValueError):
+                estimate(spec, samples)
+
     def test_work_guard(self):
         spec = es.EnsembleSpec(pair(), 8, 1, 8, [0.5, 0.5])
         with pytest.raises(ValueError, match="too large"):

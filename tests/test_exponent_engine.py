@@ -314,6 +314,29 @@ class TestSecrecyCapacity:
         grad = engine._gap_gradient(np.array([0.5, 0.5, 0.0]), pair.bob.rows, pair.eve.rows)
         assert np.all(np.isfinite(grad)) and grad[2] > 100.0
 
+    @pytest.mark.parametrize("aux_dim", [0, -1])
+    @pytest.mark.parametrize("eps_bob, eps_eve", [(0.1, 0.3), (0.3, 0.1)], ids=["more_capable", "not_more_capable"])
+    def test_aux_dim_below_one_rejected(self, aux_dim, eps_bob, eps_eve):
+        with pytest.raises(ValueError, match="auxiliary alphabet"):
+            secrecy_capacity(bsc_pair(eps_bob, eps_eve), [1.0, 2.0], 1.4, aux_dim=aux_dim)
+
+    def test_gap_gradient_is_the_written_out_formula_bit_for_bit(self):
+        def written_out(q, bob, eve):
+            def divergences(rows):
+                marginal = np.maximum(q @ rows, np.finfo(np.float64).tiny)
+                log_ratio = np.log(np.where(rows > 0.0, rows, 1.0)) - np.log(marginal)
+                return np.where(rows > 0.0, rows * log_ratio, 0.0).sum(axis=1)
+
+            return divergences(bob) - divergences(eve)
+
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            k, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            # Zeros in the channels and in q, so some output marginals vanish.
+            bob, eve = (rng.dirichlet(np.ones(m), size=k) * (rng.random((k, m)) < 0.7) for _ in range(2))
+            q = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
+            assert np.array_equal(engine._gap_gradient(q, bob, eve), written_out(q, bob, eve))
+
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("cap", ["binding", "slack"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -512,6 +535,26 @@ class TestOrderedCurves:
             dense = np.union1d(np.linspace(a, b, 20001), [r for r in np.r_[hi.rates, lo.rates] if a <= r <= b])
             gap = np.interp(dense, hi.rates, hi.exponents) - np.interp(dense, lo.rates, lo.exponents)
             assert slack == pytest.approx(gap.min(), abs=1e-15)
+
+    def test_crossing_between_grid_points_is_found(self):
+        # The 401-knot pair above: f crosses below h and back around knot
+        # 201, between the points of a 200-point grid over [0, 1].
+        rates = np.linspace(0.0, 1.0, 401)
+        h_vals = 0.5 * (1.0 - rates) ** 2 + 0.01
+        f_vals = h_vals + 1e-4
+        f_vals[201] = h_vals[201] - 2e-9
+        crosses, margin = figures._curves_cross(ExponentCurve(rates, f_vals), ExponentCurve(rates, h_vals))
+        assert crosses
+        assert margin == float(np.max(h_vals - f_vals)) and margin == pytest.approx(2e-9, rel=1e-6)
+
+    def test_curves_cross_margin(self):
+        falling = ExponentCurve([0.0, 0.5, 1.0], [1.0, 0.5, 0.0])
+        rising = ExponentCurve([0.25, 0.75], [0.1, 0.7])
+        # f - h at the knots 0.25, 0.5, 0.75: 0.65, 0.1, -0.45.
+        assert figures._curves_cross(falling, rising) == (True, pytest.approx(0.45))
+        above = ExponentCurve([0.25, 0.75], [0.9, 0.9])
+        assert figures._curves_cross(above, rising) == (False, pytest.approx(-0.2))
+        assert figures._curves_cross(falling, ExponentCurve([2.0, 3.0], [0.0, 1.0])) == (False, -math.inf)
 
     def test_disjoint_windows_are_not_ordered(self):
         hi = ExponentCurve([0.0, 0.1], [1.0, 1.0])

@@ -40,6 +40,12 @@ class TestDivergenceDistance:
             divergence_distance(e)
 
 
+    def test_violation_names_the_member_and_the_symbol(self):
+        e = OutputEnsemble([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]], [0.5, 0.5, 0.0])
+        with pytest.raises(ValueError, match="member 1 vs target at symbol 2"):
+            divergence_distance(e)
+
+
 class TestVariationalDistance:
     def test_members_equal_target(self):
         e = OutputEnsemble([[0.4, 0.6]], [0.4, 0.6])
@@ -151,3 +157,41 @@ class TestEnsembleIO:
     def test_invalid_member(self):
         with pytest.raises(ValueError):
             OutputEnsemble([[0.5, 0.6]], [0.5, 0.5])
+
+
+def scalar_kl(p, r):
+    return sum(pi * (math.log(pi) - math.log(ri)) for pi, ri in zip(p, r) if pi > 0.0)
+
+
+class TestAgainstScalarOracles:
+    def test_slacks_are_the_public_measures(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            e = rand_ensemble(rng)
+            slacks = inequality_slacks(e)
+            leakage, stealth = mutual_information_measure(e)
+            assert slacks["divergence"] == divergence_distance(e)
+            assert slacks["variational"] == variational_distance(e)
+            assert slacks["distance_to_average"] == mean_distance_to_average(e)
+            assert (slacks["leakage"], slacks["stealth"]) == (leakage, stealth)
+
+    def test_measures_match_member_by_member_sums(self):
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            # Zeros in the members, none in the target.
+            m, k = int(rng.integers(1, 12)), int(rng.integers(2, 12))
+            members = rng.dirichlet(np.ones(k), size=m) * (rng.random((m, k)) < 0.8)
+            members[:, 0] += 1e-3
+            members /= members.sum(axis=1, keepdims=True)
+            e = OutputEnsemble(members, rng.dirichlet(np.ones(k)))
+            avg = [sum(col) / m for col in zip(*e.members)]
+            tv = lambda p, r: sum(abs(pi - ri) for pi, ri in zip(p, r))
+            kl_target = sum(scalar_kl(p, e.target) for p in e.members) / m
+            assert divergence_distance(e) == pytest.approx(kl_target, rel=1e-13)
+            assert variational_distance(e) == pytest.approx(sum(tv(p, e.target) for p in e.members) / m, rel=1e-13)
+            assert mean_distance_to_average(e) == pytest.approx(
+                sum(tv(p, avg) for p in e.members) / m, rel=1e-13, abs=1e-15
+            )
+            leakage, stealth = mutual_information_measure(e)
+            assert leakage == pytest.approx(sum(scalar_kl(p, avg) for p in e.members) / m, rel=1e-12, abs=1e-15)
+            assert stealth == pytest.approx(scalar_kl(avg, e.target), rel=1e-12, abs=1e-15)

@@ -20,10 +20,12 @@ from wiretap_exponents import ensemble_sim, figures
 from wiretap_exponents import gaussian_wiretap as gw
 from wiretap_exponents import poisson_wiretap as pw
 from wiretap_exponents.channel_core import (
+    PROB_TOL,
     CostedInput,
     DiscreteChannel,
     MoreCapableResult,
     WiretapPair,
+    mutual_information,
     parse_wiretap_config,
 )
 from wiretap_exponents.exponent_engine import (
@@ -243,3 +245,54 @@ def test_any_non_finite_number_is_rejected(name, data):
     bad = data.draw(st.sampled_from([NAN, INF, -INF]), label="value")
     with pytest.raises(ValueError):
         build(*_replaced(args, path, bad))
+
+
+# name -> (a valid law or stack of laws, build(law)): every argument that
+# must be a probability law.
+LAW_ARGS = {
+    "DiscreteChannel": ([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]], DiscreteChannel),
+    "CostedInput": ([0.6, 0.4], lambda q: CostedInput(q, [1.0, 2.0], 2.0)),
+    "ExponentQuery": ([0.6, 0.4], lambda q: ExponentQuery(_pair(), q, [1.0, 2.0], 2.0)),
+    "EnsembleSpec": ([0.5, 0.5], lambda q: ensemble_sim.EnsembleSpec(_pair(), 3, 2, 2, q)),
+    "OutputEnsemble members": ([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]], lambda m: OutputEnsemble(m, [0.4, 0.3, 0.3])),
+    "OutputEnsemble target": ([0.4, 0.3, 0.3], lambda t: OutputEnsemble([[0.5, 0.3, 0.2]], t)),
+    "mutual_information": ([0.6, 0.4], lambda q: mutual_information(q, DiscreteChannel.bsc(0.1))),
+    "parse_wiretap_config q": (CONFIG["q"], lambda q: parse_wiretap_config({**CONFIG, "q": q})),
+    "parse_wiretap_config eve": (CONFIG["eve"], lambda eve: parse_wiretap_config({**CONFIG, "eve": eve})),
+}
+
+
+@pytest.mark.parametrize("name", LAW_ARGS)
+def test_valid_laws_build(name):
+    law, build = LAW_ARGS[name]
+    build(law)
+
+
+def _broken_law(law, kind, data):
+    a = np.array(law, dtype=np.float64)
+    if kind == "shape":
+        shapes = [a[None], a[..., 0], np.empty(a.shape[:-1] + (0,)), np.empty((0,) * a.ndim)]
+        return data.draw(st.sampled_from(shapes), label="shape")
+    row = a if a.ndim == 1 else a[data.draw(st.integers(0, len(a) - 1), label="row")]
+    i, j = data.draw(st.permutations(range(row.size)), label="letters")[:2]
+    if kind == "entry outside [0, 1]":
+        # Mass moved from letter j to letter i, past all of j's: the sum stays 1.
+        moved = row[j] + data.draw(st.floats(1e-9, 3.0), label="overshoot")
+        row[i] += moved
+        row[j] -= moved
+    elif kind == "sum off":
+        sign = data.draw(st.sampled_from([-1.0, 1.0]), label="sign")
+        row *= 1.0 + sign * data.draw(st.floats(100 * PROB_TOL, 0.1), label="off")
+    else:
+        row[i] = data.draw(st.sampled_from([NAN, INF, -INF]), label="value")
+    return a
+
+
+@pytest.mark.parametrize("name", LAW_ARGS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_broken_law_is_rejected(name, data):
+    law, build = LAW_ARGS[name]
+    kind = data.draw(st.sampled_from(["entry outside [0, 1]", "sum off", "non-finite", "shape"]), label="kind")
+    with pytest.raises(ValueError):
+        build(_broken_law(law, kind, data))
