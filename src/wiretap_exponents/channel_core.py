@@ -44,10 +44,17 @@ def _finite_float(value, name="value"):
     return x
 
 
+def _whole_number(value, name):
+    """``value`` as an int; rejects a float that is not a whole number (NaN and inf included)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be a finite whole number, got {value}")
+    return int(value)
+
+
 def _rebuild(self):
     # Pickle and deepcopy go through the constructor, which validates the
     # copy and freezes its arrays again.
-    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def _laws(values, name="distribution", ndim=1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_core import WiretapPair, _divergences, _laws, _rebuild
+from .channel_core import WiretapPair, _divergences, _laws, _rebuild, _whole_number
 from .exponent_engine import ExponentQuery, _envelope, _optimize
 from .solvers import scan_then_golden_max
 
@@ -30,13 +30,6 @@ MAX_DIVERGENCE_WORK = 1 << 25
 # Subcodes per pass of the divergence helper: at most 1024 * 8 * 256
 # gathered doubles (16 MB) at any n and L.
 DIVERGENCE_BLOCK = 1024
-
-
-def _whole_number(value, name):
-    # is_integer() is False for NaN and inf as well.
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be a finite whole number, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

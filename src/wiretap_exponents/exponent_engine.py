@@ -24,7 +24,7 @@ and shared by every rate, curve and caller (``_Envelope``).
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -40,6 +40,7 @@ from .channel_core import (
     _frozen_array,
     _info_gap,
     _rebuild,
+    _whole_number,
     concatenate,
     is_more_capable,
     lifted_cost,
@@ -60,7 +61,12 @@ AUX_STARTS = 6
 AUX_ITERS = 250
 
 
-@dataclass(frozen=True, eq=False, init=False)
+def _bits(a):
+    # An array by its shape and bytes: content equality for hashing.
+    return None if a is None else (a.shape, a.tobytes())
+
+
+@dataclass(frozen=True, eq=False)
 class ExponentQuery:
     """Everything an exponent evaluation needs: channels, input, costs, rates.
 
@@ -68,54 +74,64 @@ class ExponentQuery:
     the channel input alphabet X otherwise. ``costs`` is always the
     per-letter cost on X; with an auxiliary channel the input constraint
     is checked against the lifted cost, which is equivalent to checking
-    the induced X distribution.
+    the induced X distribution. ``input`` is the checked law with its
+    cost on q's alphabet.
+
+    Queries are equal when their content is: both channels' rows, ``q``,
+    ``costs``, ``aux`` rows, ``gamma`` and the two rates, floats compared
+    by their bits. The envelope cache keys on the rate-free query.
     """
 
     pair: WiretapPair
-    aux: DiscreteChannel | None
-    input: CostedInput
-    costs_x: np.ndarray
-    rate_b: float
-    rate_e: float
+    q: np.ndarray
+    costs: np.ndarray
+    gamma: float
+    rate_b: float = 0.0
+    rate_e: float = 0.0
+    aux: DiscreteChannel | None = None
+    input: CostedInput = field(init=False, repr=False)
 
-    def __init__(self, pair, q, costs, gamma, rate_b=0.0, rate_e=0.0, aux=None):
-        costs = _cost_vector(costs, pair.num_inputs)
-        if aux is not None:
-            if aux.num_outputs != pair.num_inputs:
+    def __post_init__(self):
+        costs = _cost_vector(self.costs, self.pair.num_inputs)
+        if self.aux is not None:
+            if self.aux.num_outputs != self.pair.num_inputs:
                 raise ValueError("auxiliary channel outputs must match the channel input alphabet")
-            cost_on_v = lifted_cost(aux, costs)
+            cost_on_v = lifted_cost(self.aux, costs)
         else:
             cost_on_v = costs
-        rate_b = _finite_float(rate_b, "rate_b")
-        rate_e = _finite_float(rate_e, "rate_e")
+        rate_b = _finite_float(self.rate_b, "rate_b")
+        rate_e = _finite_float(self.rate_e, "rate_e")
         if rate_b < 0.0 or rate_e < 0.0:
             raise ValueError("rates must be nonnegative")
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "aux", aux)
-        object.__setattr__(self, "input", CostedInput(q, cost_on_v, gamma))
-        object.__setattr__(self, "costs_x", costs)
+        law = CostedInput(self.q, cost_on_v, self.gamma)
+        object.__setattr__(self, "q", law.probs)
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "gamma", law.gamma)
         object.__setattr__(self, "rate_b", rate_b)
         object.__setattr__(self, "rate_e", rate_e)
+        object.__setattr__(self, "input", law)
 
-    def __reduce__(self):
-        # Through the constructor, like the other value types.
-        args = (self.pair, self.input.probs, self.costs_x, self.gamma, self.rate_b, self.rate_e, self.aux)
-        return ExponentQuery, args
+    __reduce__ = _rebuild
+
+    def _content(self):
+        aux_rows = None if self.aux is None else self.aux.rows
+        arrays = (self.pair.bob.rows, self.pair.eve.rows, self.q, self.costs, aux_rows)
+        return (*map(_bits, arrays), self.gamma.hex(), self.rate_b.hex(), self.rate_e.hex())
+
+    def __eq__(self, other):
+        if not isinstance(other, ExponentQuery):
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self):
+        return hash(self._content())
 
     def with_rates(self, rate_b=None, rate_e=None):
-        return ExponentQuery(
-            self.pair,
-            self.input.probs,
-            self.costs_x,
-            self.input.gamma,
+        return replace(
+            self,
             rate_b=self.rate_b if rate_b is None else rate_b,
             rate_e=self.rate_e if rate_e is None else rate_e,
-            aux=self.aux,
         )
-
-    @property
-    def gamma(self):
-        return self.input.gamma
 
     def effective_channel(self, side):
         """Channel seen from the query input: concatenated when aux is present."""
@@ -123,7 +139,7 @@ class ExponentQuery:
         return concatenate(self.aux, ch) if self.aux is not None else ch
 
     def mutual_information(self, side):
-        return mutual_information(self.input.probs, self.effective_channel(side))
+        return mutual_information(self.q, self.effective_channel(side))
 
 
 def _lse(vals):
@@ -149,8 +165,8 @@ class _E0Evaluator:
     def __init__(self, query, side):
         channel = query.pair.bob if side == "bob" else query.pair.eve
         gamma = query.gamma
-        costs = query.costs_x
-        q = query.input.probs
+        costs = query.costs
+        q = query.q
         if query.aux is None:
             # terms[y] = [(log q(x), log W(y|x), gamma - c(x))] over supported x
             terms = []
@@ -215,22 +231,32 @@ class _E0Evaluator:
         return val
 
 
-def gallager_e0(rho, query, r=0.0, s=0.0):
-    """Cost-tilted Gallager function of order 1+rho for the legitimate channel."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
+def _check_rho(rho, secrecy):
+    # Reliability takes rho in [0, 1], secrecy rho in (0, 1).
+    if not (0.0 < rho < 1.0 if secrecy else 0.0 <= rho <= 1.0):
+        raise ValueError(f"rho must be in {'(0, 1)' if secrecy else '[0, 1]'}, got {rho}")
+
+
+def _kappa(side, rho):
+    # The tilt order: 1 + rho on bob's side, 1 - rho on eve's.
+    return 1.0 + rho if side == "bob" else 1.0 - rho
+
+
+def _tilted_e0(side, rho, query, r, s):
+    _check_rho(rho, secrecy=side == "eve")
     if r < 0.0 or s < 0.0:
         raise ValueError("tilt parameters must be nonnegative")
-    return _envelope(query, "bob").evaluator(1.0 + rho, r, s)
+    return _envelope(query, side).evaluator(_kappa(side, rho), r, s)
+
+
+def gallager_e0(rho, query, r=0.0, s=0.0):
+    """Cost-tilted Gallager function of order 1+rho for the legitimate channel."""
+    return _tilted_e0("bob", rho, query, r, s)
 
 
 def resolvability_e0(rho, query, r=0.0, s=0.0):
     """Cost-tilted resolvability exponent base of order 1-rho for the tapped channel."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must be in (0, 1), got {rho}")
-    if r < 0.0 or s < 0.0:
-        raise ValueError("tilt parameters must be nonnegative")
-    return _envelope(query, "eve").evaluator(1.0 - rho, r, s)
+    return _tilted_e0("eve", rho, query, r, s)
 
 
 @dataclass(frozen=True)
@@ -245,7 +271,7 @@ class ExponentOptimum:
 
 
 def _tilt_caps(query):
-    spread_x = float(query.costs_x.max() - query.costs_x.min())
+    spread_x = float(query.costs.max() - query.costs.min())
     r_max = TILT_CAP_SCALE / spread_x if spread_x > 0.0 else 0.0
     if query.aux is None:
         return r_max, r_max
@@ -291,8 +317,11 @@ def _max_over_tilts(ev, kappa, caps, merged):
         return v00, 0.0, 0.0
 
     # Joint concavity and smoothness make coordinate ascent converge to
-    # the global tilt optimum; three alternating sweeps are plenty at
-    # the accuracy the exponent consumers need.
+    # the global tilt optimum, but the sweep count is fixed at three and
+    # three do not always get there: on figure 4's prefix query (aux =
+    # BSC(0.025)) they stop short, leaving eve's envelope low by up to
+    # 2e-4. Sweeping to convergence is ROADMAP item 1, which re-records
+    # figure 4's golden outputs.
     r_star = s_star = 0.0
     val = v00
     for _ in range(3):
@@ -344,50 +373,15 @@ class _Envelope:
         return hit
 
 
-def _array_key(a):
-    return a.shape, a.tobytes()
-
-
-class _EnvelopeKey:
-    """A (query, side) that hashes and compares by its rate-free content.
-
-    The content is everything the evaluator and the tilt caps read:
-    side, both channels, the input law, the costs, the cap and the
-    auxiliary channel. The key carries its query so that a cache miss
-    can build the envelope.
-    """
-
-    __slots__ = ("query", "side", "_content")
-
-    def __init__(self, query, side):
-        aux = query.aux
-        self.query = query
-        self.side = side
-        self._content = (
-            side,
-            _array_key(query.pair.bob.rows),
-            _array_key(query.pair.eve.rows),
-            _array_key(query.input.probs),
-            _array_key(query.costs_x),
-            query.gamma.hex(),
-            None if aux is None else _array_key(aux.rows),
-        )
-
-    def __hash__(self):
-        return hash(self._content)
-
-    def __eq__(self, other):
-        return self._content == other._content
-
-
 @functools.lru_cache(maxsize=ENVELOPE_CACHE_SIZE)
-def _cached_envelope(key):
-    return _Envelope(key.query, key.side)
+def _cached_envelope(query, side):
+    return _Envelope(query, side)
 
 
 def _envelope(query, side):
-    """The shared envelope of (query, side); at most ENVELOPE_CACHE_SIZE are kept."""
-    return _cached_envelope(_EnvelopeKey(query, side))
+    """The shared envelope of (query, side), keyed on the rate-free query; at most ENVELOPE_CACHE_SIZE are kept."""
+    rate_free = query if query.rate_b == query.rate_e == 0.0 else query.with_rates(0.0, 0.0)
+    return _cached_envelope(rate_free, side)
 
 
 def _optimize(query, side, rate):
@@ -395,18 +389,13 @@ def _optimize(query, side, rate):
     envelope = _envelope(query, side)
     sign = -1.0 if side == "bob" else 1.0
 
-    state = {}
-
     def objective(rho):
-        kappa = 1.0 + rho if side == "bob" else 1.0 - rho
-        val, r_star, s_star = envelope(kappa)
-        obj = val + sign * rho * rate
-        state[rho] = (r_star, s_star)
-        return obj
+        return envelope(_kappa(side, rho))[0] + sign * rho * rate
 
     lo, hi = (0.0, 1.0) if side == "bob" else (RHO_EPS, 1.0 - RHO_EPS)
     rho_star, raw = scan_then_golden_max(objective, lo, hi, scan_points=17, tol=1e-10)
-    r_star, s_star = state[rho_star]
+    # A memo hit, or after a memo clear the same floats again: the tilt search is deterministic in kappa.
+    _, r_star, s_star = envelope(_kappa(side, rho_star))
     return ExponentOptimum(max(raw, 0.0), raw, rho_star, r_star, s_star)
 
 
@@ -491,7 +480,7 @@ def _curve(query, side, rates, name, offset=0.0):
         "function": name,
         "offset": offset,
         "gamma": query.gamma,
-        "q": query.input.probs.tolist(),
+        "q": query.q.tolist(),
         "argmax_rho": rhos,
         "argmax_r": rs,
         "argmax_s": ss,
@@ -705,9 +694,10 @@ def secrecy_capacity(pair, costs, gamma, aux_dim=2, seed=0):
     known, so ``aux_dim`` is a user knob.
 
     Costs must be finite, nonnegative and one per input letter, the cap
-    ``gamma`` finite and at least the cheapest cost, and ``aux_dim`` at
-    least 1 (for every pair); otherwise ValueError.
+    ``gamma`` finite and at least the cheapest cost, and ``aux_dim`` a
+    whole number of at least 1 (for every pair); otherwise ValueError.
     """
+    aux_dim = _whole_number(aux_dim, "auxiliary alphabet size")
     if aux_dim < 1:
         raise ValueError(f"auxiliary alphabet size must be at least 1, got {aux_dim}")
     costs = _cost_vector(costs, pair.num_inputs)
@@ -725,7 +715,7 @@ def secrecy_capacity(pair, costs, gamma, aux_dim=2, seed=0):
     return CapacityResult(float(max(best, 0.0)), qv, DiscreteChannel(rows), False, True, mc.min_gap)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TradeoffScenario:
     """One swept scenario: paired exponent curves plus structural checks.
 
@@ -818,7 +808,7 @@ def _swept_queries(query, mechanism, sweep):
     if mechanism == "concatenate":
         if query.pair.num_inputs != 2 or query.aux is not None:
             raise ValueError("concatenation sweeps are defined for binary non-concatenated queries")
-        p1 = float(query.input.probs[1])
+        p1 = float(query.q[1])
         swept = []
         for eps in sweep:
             a, b = 1.0 - eps, eps
@@ -826,7 +816,7 @@ def _swept_queries(query, mechanism, sweep):
             if not 0.0 <= qv1 <= 1.0:
                 raise ValueError(f"input law q(1)={p1} is not reachable through a crossover-{eps} prefix")
             aux = DiscreteChannel.bsc(eps)
-            q_plus = ExponentQuery(query.pair, [1.0 - qv1, qv1], query.costs_x, query.gamma, aux=aux, **rates)
+            q_plus = ExponentQuery(query.pair, [1.0 - qv1, qv1], query.costs, query.gamma, aux=aux, **rates)
             swept.append((f"prefix_bsc_{eps:g}", q_plus, 0.0, 0.0))
         return swept
     if query.pair.num_inputs != 2:
@@ -836,8 +826,8 @@ def _swept_queries(query, mechanism, sweep):
         raise ValueError("cost_change sweep must be ascending")
     swept = []
     for cap in caps:
-        q_fit, _ = _best_input_binary(query.pair, query.costs_x, cap)
-        swept.append((f"cap_{cap:g}", ExponentQuery(query.pair, q_fit, query.costs_x, cap, **rates), 0.0, 0.0))
+        q_fit, _ = _best_input_binary(query.pair, query.costs, cap)
+        swept.append((f"cap_{cap:g}", ExponentQuery(query.pair, q_fit, query.costs, cap, **rates), 0.0, 0.0))
     return swept
 
 

@@ -50,7 +50,7 @@ CONVEXITY_TOL = 1e-7
 MONOTONE_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class FigureData:
     fig_id: int
     params: dict

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel_core import CostedInput, DiscreteChannel, WiretapPair, _finite_float, _frozen_array, _rebuild
-from .exponent_engine import ExponentCurve, RHO_EPS
+from .exponent_engine import ExponentCurve, RHO_EPS, _check_rho
 from .solvers import bisect_root
 
 # The secrecy curves stop at this rho; its rates grow without bound as rho -> 1.
@@ -144,12 +144,6 @@ def _log_tilted_mean(q, s, kappa):
 def _check_duty(params, q):
     if not 0.0 <= q <= params.gamma:
         raise ValueError(f"duty probability must be in [0, {params.gamma}], got {q}")
-
-
-def _check_rho(rho, secrecy):
-    # Reliability takes rho in [0, 1], secrecy rho in (0, 1).
-    if not (0.0 < rho < 1.0 if secrecy else 0.0 <= rho <= 1.0):
-        raise ValueError(f"rho must be in {'(0, 1)' if secrecy else '[0, 1]'}, got {rho}")
 
 
 def _exponent_base(peak, s, q, rho):

@@ -95,7 +95,7 @@ def _grid_oracle(query, side, rate, n=200):
     """Brute-force sup over an n^3 grid of (rho, r, s), in log space."""
     w = (query.pair.bob if side == "bob" else query.pair.eve).rows
     qv = query.input.probs
-    dc = query.gamma - query.costs_x
+    dc = query.gamma - query.costs
     r_max, s_max = _tilt_caps(query)
     rhos = np.linspace(0.0 if side == "bob" else 1e-9, 1.0 if side == "bob" else 1 - 1e-9, n)
     tilt = np.linspace(0.0, r_max, n)[:, None] + np.linspace(0.0, s_max, n)[None, :]

@@ -333,6 +333,16 @@ class TestExitCodes:
             payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON output"))
             assert ("monte_carlo" in payload) == (samples > 0)
 
+    def test_bad_sample_count_fails_before_the_exact_enumeration(self, monkeypatch, capsys):
+        def exact(spec):
+            raise AssertionError("the exact certification ran before the sample count was checked")
+
+        monkeypatch.setattr(ensemble_sim, "certification_report", exact)
+        argv = ["ensemble", "--n", "3", "--M", "2", "--L", "2", "--eps-y", "0.1", "--eps-z", "0.3"]
+        assert cli.main([*argv, "--mc-samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Monte Carlo needs at least 2 samples" in captured.err
+
     def test_bad_config_key_is_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CONFIG, "zzz": 1}))

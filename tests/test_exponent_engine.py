@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from dataclasses import astuple
@@ -150,6 +151,61 @@ class TestQueryValidation:
             fig_query(rate_b=bad)
         with pytest.raises(ValueError, match="finite"):
             fig_query().with_rates(rate_e=bad)
+
+
+def query_variants():
+    """Queries that differ from fig_query() in exactly one of the compared contents."""
+    return {
+        "bob": ExponentQuery(bsc_pair(0.11, 0.3), [0.6, 0.4], [1.0, 2.0], 1.4),
+        "eve": ExponentQuery(bsc_pair(0.1, 0.31), [0.6, 0.4], [1.0, 2.0], 1.4),
+        "q": ExponentQuery(bsc_pair(), [0.7, 0.3], [1.0, 2.0], 1.4),
+        "costs": ExponentQuery(bsc_pair(), [0.6, 0.4], [1.0, 1.5], 1.4),
+        "gamma": ExponentQuery(bsc_pair(), [0.6, 0.4], [1.0, 2.0], 1.6),
+        "aux": ExponentQuery(bsc_pair(), [0.6, 0.4], [1.0, 2.0], 1.4, aux=DiscreteChannel.identity(2)),
+        "rate_b": fig_query(rate_b=0.1),
+        "rate_e": fig_query(rate_e=0.1),
+        "rate sign": fig_query(rate_b=-0.0),
+    }
+
+
+class TestQueryValue:
+    def test_equal_content_gives_equal_queries_and_hashes(self):
+        first, second = fig_query(0.1, 0.2), fig_query(0.1, 0.2)
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert (first == first.pair) is False
+
+    @pytest.mark.parametrize("name", query_variants())
+    def test_any_one_change_makes_queries_unequal(self, name):
+        assert fig_query() != query_variants()[name]
+
+    def test_aux_rows_alone_make_queries_unequal(self):
+        qv1 = (0.3 - 0.025) / 0.95
+        first = ExponentQuery(bsc_pair(), [1 - qv1, qv1], [1.0, 2.0], 1.4, aux=DiscreteChannel.bsc(0.025))
+        second = ExponentQuery(bsc_pair(), [1 - qv1, qv1], [1.0, 2.0], 1.4, aux=DiscreteChannel.bsc(0.05))
+        assert first != second
+
+    def test_equal_queries_share_one_envelope(self):
+        engine._cached_envelope.cache_clear()
+        for side in ("bob", "eve"):
+            envelope = engine._envelope(fig_query(), side)
+            assert engine._envelope(fig_query(), side) is envelope
+            assert engine._envelope(fig_query(rate_b=0.1, rate_e=0.2), side) is envelope
+            assert engine._envelope(fig_query().with_rates(rate_e=0.3), side) is envelope
+        assert engine._cached_envelope.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan])
+    def test_replace_and_with_rates_check_the_rates(self, bad):
+        query = fig_query()
+        for field in ("rate_b", "rate_e"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(query, **{field: bad})
+            with pytest.raises(ValueError):
+                query.with_rates(**{field: bad})
+
+    def test_replace_keeps_the_checked_input(self):
+        query = dataclasses.replace(fig_query(), rate_b=0.25)
+        assert query == fig_query(rate_b=0.25)
+        assert query.input.probs.tolist() == [0.6, 0.4] and query.input.costs.tolist() == [1.0, 2.0]
 
 
 class TestExponentValues:
@@ -319,6 +375,17 @@ class TestSecrecyCapacity:
     def test_aux_dim_below_one_rejected(self, aux_dim, eps_bob, eps_eve):
         with pytest.raises(ValueError, match="auxiliary alphabet"):
             secrecy_capacity(bsc_pair(eps_bob, eps_eve), [1.0, 2.0], 1.4, aux_dim=aux_dim)
+
+    @pytest.mark.parametrize("aux_dim", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("eps_bob, eps_eve", [(0.1, 0.3), (0.3, 0.1)], ids=["more_capable", "not_more_capable"])
+    def test_aux_dim_must_be_a_whole_number(self, aux_dim, eps_bob, eps_eve):
+        with pytest.raises(ValueError, match="auxiliary alphabet size must be a finite whole number"):
+            secrecy_capacity(bsc_pair(eps_bob, eps_eve), [1.0, 2.0], 1.4, aux_dim=aux_dim)
+
+    def test_whole_float_aux_dim_is_its_integer(self):
+        pair = bsc_pair(0.3, 0.1)
+        whole, integer = (secrecy_capacity(pair, [1.0, 2.0], 1.4, aux_dim=dim) for dim in (2.0, 2))
+        assert whole.value == integer.value and whole.aux.rows.shape == (2, 2)
 
     def test_gap_gradient_is_the_written_out_formula_bit_for_bit(self):
         def written_out(q, bob, eve):
