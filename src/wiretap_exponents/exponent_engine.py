@@ -79,7 +79,8 @@ class ExponentQuery:
 
     Queries are equal when their content is: both channels' rows, ``q``,
     ``costs``, ``aux`` rows, ``gamma`` and the two rates, floats compared
-    by their bits. The envelope cache keys on the rate-free query.
+    by their bits (-0.0 is stored as 0.0). The envelope cache keys on the
+    rate-free query.
     """
 
     pair: WiretapPair
@@ -99,11 +100,12 @@ class ExponentQuery:
             cost_on_v = lifted_cost(self.aux, costs)
         else:
             cost_on_v = costs
-        rate_b = _finite_float(self.rate_b, "rate_b")
-        rate_e = _finite_float(self.rate_e, "rate_e")
+        # Adding 0.0 turns -0.0 into 0.0, so a negative zero keys no second envelope.
+        rate_b = _finite_float(self.rate_b, "rate_b") + 0.0
+        rate_e = _finite_float(self.rate_e, "rate_e") + 0.0
         if rate_b < 0.0 or rate_e < 0.0:
             raise ValueError("rates must be nonnegative")
-        law = CostedInput(self.q, cost_on_v, self.gamma)
+        law = CostedInput(self.q, cost_on_v, _finite_float(self.gamma, "cost cap") + 0.0)
         object.__setattr__(self, "q", law.probs)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "gamma", law.gamma)
@@ -143,11 +145,16 @@ class ExponentQuery:
 
 
 def _lse(vals):
-    if not vals:
-        return _NEG_INF
-    m = max(vals)
+    if len(vals) == 2:
+        a, b = vals
+        if b > a:
+            a, b = b, a
+        # Bit for bit the sum below: its first step 0 + exp(a - a) is exactly 1.0, and a two-term add commutes.
+        if math.isfinite(a):
+            return a + math.log(1.0 + math.exp(b - a))
+    m = max(vals, default=_NEG_INF)
     if m == _NEG_INF:
-        return _NEG_INF
+        return m
     return m + math.log(sum(math.exp(v - m) for v in vals))
 
 
@@ -160,74 +167,69 @@ class _E0Evaluator:
     to total probability), so it is subtracted as a normalization: the
     rho = 0 collapse is then exact and rates past the zero crossing give
     an exact zero exponent.
+
+    A one-entry memo keeps what a tilt search repeats at one order: the
+    terms ``log q(x) + log W(y|x) / kappa`` keyed on kappa without a prefix,
+    the inner x-sums per (y, v) keyed on (kappa, r) with one. Its floats are
+    the formula's, summed in the same order, so every value is bit-identical
+    to evaluating without it; it is replaced whole, so concurrent callers
+    can at worst repeat work.
     """
 
     def __init__(self, query, side):
-        channel = query.pair.bob if side == "bob" else query.pair.eve
-        gamma = query.gamma
-        costs = query.costs
+        rows = (query.pair.bob if side == "bob" else query.pair.eve).rows
         q = query.q
+        support = [i for i in range(len(q)) if q[i] > 0.0]
+        # gamma - c as Python floats: the bits numpy gives, and faster to add.
+        dcs = (query.gamma - query.costs).tolist()
+        outputs = range(rows.shape[1])
         if query.aux is None:
             # terms[y] = [(log q(x), log W(y|x), gamma - c(x))] over supported x
-            terms = []
-            for y in range(channel.num_outputs):
-                col = []
-                for x in range(channel.num_inputs):
-                    if q[x] > 0.0 and channel.rows[x, y] > 0.0:
-                        col.append((math.log(q[x]), math.log(channel.rows[x, y]), gamma - costs[x]))
-                terms.append(col)
-            self._plain_terms = terms
-            self._aux_terms = None
+            self._v_terms = None
+            self._terms = [
+                [(math.log(q[x]), math.log(rows[x, y]), dcs[x]) for x in support if rows[x, y] > 0.0] for y in outputs
+            ]
         else:
-            aux = query.aux
-            cbar = query.input.costs
-            vx = []
-            for v in range(aux.num_inputs):
-                if q[v] <= 0.0:
-                    vx.append(None)
-                    continue
-                per_y = []
-                for y in range(channel.num_outputs):
-                    col = []
-                    for x in range(channel.num_inputs):
-                        p = aux.rows[v, x] * channel.rows[x, y]
-                        if p > 0.0:
-                            col.append((math.log(p), gamma - costs[x]))
-                    per_y.append(col)
-                vx.append((math.log(q[v]), gamma - cbar[v], per_y))
-            self._plain_terms = None
-            self._aux_terms = vx
-            self._num_outputs = channel.num_outputs
+            # v_terms[i] = (log q(v), gamma - cbar(v)) over supported v, and
+            # terms[y] = [(i, [(log aux(x|v) W(y|x), gamma - c(x))] over x)]
+            self._v_terms = [(math.log(q[v]), float(query.gamma - query.input.costs[v])) for v in support]
+            self._terms = [
+                [
+                    (i, [(math.log(p), dcs[x]) for x, p in enumerate(query.aux.rows[v] * rows[:, y]) if p > 0.0])
+                    for i, v in enumerate(support)
+                ]
+                for y in outputs
+            ]
+        self._memo = (None, None)
         self._offset = 0.0
         self._offset = self(1.0, 0.0, 0.0)
 
     def __call__(self, kappa, r, s):
-        if self._plain_terms is not None:
+        key, table = self._memo
+        outer = []
+        if self._v_terms is None:
+            if key != kappa:
+                table = [[(lq + lw / kappa, dc) for lq, lw, dc in col] for col in self._terms]
+                self._memo = (kappa, table)
             t = r + s
-            outer = []
-            for col in self._plain_terms:
-                ly = _lse([lq + lw / kappa + t * dc for (lq, lw, dc) in col])
+            for col in table:
+                ly = _lse([base + t * dc for base, dc in col])
                 if ly > _NEG_INF:
                     outer.append(kappa * ly)
         else:
-            outer = []
-            for y in range(self._num_outputs):
-                vs = []
-                for entry in self._aux_terms:
-                    if entry is None:
-                        continue
-                    lq, dcb, per_y = entry
-                    lx = _lse([lwp + kappa * r * dc for (lwp, dc) in per_y[y]])
-                    if lx > _NEG_INF:
-                        vs.append(lq + s * dcb + lx / kappa)
-                ly = _lse(vs)
+            if key != (kappa, r):
+                kr = kappa * r
+                sums = ([(i, _lse([lwp + kr * dc for lwp, dc in col])) for i, col in row] for row in self._terms)
+                table = [[(i, lx / kappa) for i, lx in row if lx > _NEG_INF] for row in sums]
+                self._memo = ((kappa, r), table)
+            base = [lq + s * dcb for lq, dcb in self._v_terms]
+            for row in table:
+                ly = _lse([base[i] + lx for i, lx in row])
                 if ly > _NEG_INF:
                     outer.append(kappa * ly)
         val = -_lse(outer) - self._offset
         if not math.isfinite(val):
-            raise RuntimeError(
-                f"non-finite exponent base (kappa={kappa}, r={r}, s={s}); tilt arguments out of range"
-            )
+            raise RuntimeError(f"non-finite exponent base (kappa={kappa}, r={r}, s={s}); tilt arguments out of range")
         return val
 
 
@@ -380,7 +382,11 @@ def _cached_envelope(query, side):
 
 def _envelope(query, side):
     """The shared envelope of (query, side), keyed on the rate-free query; at most ENVELOPE_CACHE_SIZE are kept."""
-    rate_free = query if query.rate_b == query.rate_e == 0.0 else query.with_rates(0.0, 0.0)
+    rate_free = query
+    if query.rate_b != 0.0 or query.rate_e != 0.0:
+        # A copy with both rates 0, not a rebuild: the constructor has checked every field already.
+        rate_free = object.__new__(ExponentQuery)
+        vars(rate_free).update(vars(query), rate_b=0.0, rate_e=0.0)
     return _cached_envelope(rate_free, side)
 
 
@@ -468,26 +474,19 @@ def _curve(query, side, rates, name, offset=0.0):
     rates = np.asarray(rates, dtype=np.float64)
     if not np.all(np.isfinite(rates + offset)):
         raise ValueError("rates must be finite")
-    values, rhos, rs, ss, raws = [], [], [], [], []
-    for rate in rates:
-        opt = _optimize(query, side, float(rate) + offset)
-        values.append(opt.value)
-        rhos.append(opt.rho)
-        rs.append(opt.r)
-        ss.append(opt.s)
-        raws.append(opt.raw)
+    opts = [_optimize(query, side, float(rate) + offset) for rate in rates]
     meta = {
         "function": name,
         "offset": offset,
         "gamma": query.gamma,
         "q": query.q.tolist(),
-        "argmax_rho": rhos,
-        "argmax_r": rs,
-        "argmax_s": ss,
-        "raw": raws,
+        "argmax_rho": [opt.rho for opt in opts],
+        "argmax_r": [opt.r for opt in opts],
+        "argmax_s": [opt.s for opt in opts],
+        "raw": [opt.raw for opt in opts],
         "tilt_caps": _tilt_caps(query),
     }
-    return ExponentCurve(rates, values, meta)
+    return ExponentCurve(rates, [opt.value for opt in opts], meta)
 
 
 def reliability_curve(query, rates):

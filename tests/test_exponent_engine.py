@@ -164,7 +164,6 @@ def query_variants():
         "aux": ExponentQuery(bsc_pair(), [0.6, 0.4], [1.0, 2.0], 1.4, aux=DiscreteChannel.identity(2)),
         "rate_b": fig_query(rate_b=0.1),
         "rate_e": fig_query(rate_e=0.1),
-        "rate sign": fig_query(rate_b=-0.0),
     }
 
 
@@ -192,6 +191,30 @@ class TestQueryValue:
             assert engine._envelope(fig_query(rate_b=0.1, rate_e=0.2), side) is envelope
             assert engine._envelope(fig_query().with_rates(rate_e=0.3), side) is envelope
         assert engine._cached_envelope.cache_info().currsize == 2
+
+    def test_negative_zero_rates_and_cap_are_stored_as_zero(self):
+        query = fig_query()
+        signed = fig_query(rate_b=-0.0, rate_e=-0.0)
+        assert signed == query and hash(signed) == hash(query)
+        assert math.copysign(1.0, signed.rate_b) == math.copysign(1.0, signed.rate_e) == 1.0
+        free = ExponentQuery(bsc_pair(), [1.0, 0.0], [0.0, 1.0], -0.0)
+        assert math.copysign(1.0, free.gamma) == 1.0 and free == dataclasses.replace(free, gamma=0.0)
+        engine._cached_envelope.cache_clear()
+        assert engine._envelope(query.with_rates(-0.0, 0.0), "bob") is engine._envelope(query, "bob")
+        assert engine._cached_envelope.cache_info().misses == 1
+
+    def test_rated_lookup_reuses_the_checked_query(self, monkeypatch):
+        # The rate-free key is a copy of the rated query, so no constructor check runs again.
+        query, rated = fig_query(), fig_query(rate_b=0.1, rate_e=0.2)
+        engine._cached_envelope.cache_clear()
+        envelope = engine._envelope(query, "eve")
+        checks = []
+        plain_post_init = ExponentQuery.__post_init__
+        monkeypatch.setattr(ExponentQuery, "__post_init__", lambda self: checks.append(plain_post_init(self)))
+        assert engine._envelope(rated, "eve") is envelope
+        assert checks == []
+        assert (rated.rate_b, rated.rate_e) == (0.1, 0.2)
+        assert engine._cached_envelope.cache_info().misses == 1
 
     @pytest.mark.parametrize("bad", [-0.1, math.nan])
     def test_replace_and_with_rates_check_the_rates(self, bad):
