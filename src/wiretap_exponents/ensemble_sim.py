@@ -27,9 +27,9 @@ from .solvers import scan_then_golden_max
 MAX_BLOCK = 8
 MAX_CODEBOOK = 8
 MAX_DIVERGENCE_WORK = 1 << 25
-# Subcodes per pass of the divergence helper: at most 1024 * 8 * 256
-# gathered doubles (16 MB) at any n and L.
-DIVERGENCE_BLOCK = 1024
+# Likelihood doubles gathered per pass (512 KB) by the blocked Monte Carlo
+# error and subcode divergence loops; see _block_rows.
+GATHER_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,14 +137,22 @@ def _divergence_work(n, L):
     return math.comb((1 << n) + L - 1, L) * (1 << n)
 
 
+def _block_rows(width, outputs):
+    # Rows of ``idx`` per pass: each gathers width likelihood rows of
+    # ``outputs`` doubles, within GATHER_BUDGET; at least 32 rows, since
+    # width <= MAX_CODEBOOK and outputs <= 2^MAX_BLOCK.
+    return GATHER_BUDGET // (width * outputs)
+
+
 def _subcode_divergences(lk, target, idx):
-    """D(mean of lk[idx[i]] || target) for each row i, DIVERGENCE_BLOCK rows at a time.
+    """D(mean of lk[idx[i]] || target) for each row i, in blocks of rows within the gather budget.
 
     ``idx`` holds codewords of positive input mass only, so the target is positive wherever a mixture is.
     """
     divs = np.empty(len(idx))
-    for start in range(0, len(idx), DIVERGENCE_BLOCK):
-        rows = slice(start, start + DIVERGENCE_BLOCK)
+    step = _block_rows(idx.shape[1], lk.shape[1])
+    for start in range(0, len(idx), step):
+        rows = slice(start, start + step)
         divs[rows] = _divergences(lk[idx[rows]].mean(axis=1), target)
     return divs
 
@@ -246,20 +254,27 @@ def mc_ensemble_error(spec, samples=100_000, seed=0):
     """Monte Carlo estimate of the ensemble error; returns (mean, stderr).
 
     Codebooks are sampled; the error probability of each sampled codebook
-    is then computed exactly over outputs, so the only noise is across
-    codebooks. Needs at least 2 samples.
+    is then computed exactly over outputs, as (1/ML) sum_y (sum_c W^n(y|c)
+    - max_c W^n(y|c)), so the only noise is across codebooks. Codebooks
+    are handled in blocks of rows within the gather budget. Needs at
+    least 2 samples.
     """
     ml = spec.M * spec.L
     lk, _, idx = _mc_draws(spec, spec.pair.bob, samples, seed, ml)
-    samples = len(idx)
-    err = np.zeros(samples)
-    for y in range(lk.shape[1]):
-        cols = lk[idx, y]
-        best = np.argmax(cols, axis=1)
-        sent_mass = cols.sum(axis=1)
-        win_mass = cols[np.arange(samples), best]
-        err += (sent_mass - win_mass) / ml
-    return float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples))
+    err = np.empty(len(idx))
+    step = _block_rows(ml, lk.shape[1])
+    for start in range(0, len(idx), step):
+        rows = slice(start, start + step)
+        g = lk[idx[rows].T]  # (ML, rows, 2^n): codeword c of each sampled codebook
+        # The sent mass in numpy's row-sum order: sequential below 8 terms,
+        # its pairwise tree at 8 (MAX_CODEBOOK).
+        if ml == 8:
+            sent = ((g[0] + g[1]) + (g[2] + g[3])) + ((g[4] + g[5]) + (g[6] + g[7]))
+        else:
+            sent = g.sum(axis=0)
+        # Summed over outputs in output order, the order of a running total.
+        err[rows] = np.cumsum((sent - g.max(axis=0)) / ml, axis=1)[:, -1]
+    return float(err.mean()), float(err.std(ddof=1) / math.sqrt(len(err)))
 
 
 def mc_ensemble_divergence(spec, samples=100_000, seed=0):

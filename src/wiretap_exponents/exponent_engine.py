@@ -66,6 +66,10 @@ def _bits(a):
     return None if a is None else (a.shape, a.tobytes())
 
 
+# The two rates that end the content key of a rate-free query.
+_ZERO_RATES_KEY = ((0.0).hex(), (0.0).hex())
+
+
 @dataclass(frozen=True, eq=False)
 class ExponentQuery:
     """Everything an exponent evaluation needs: channels, input, costs, rates.
@@ -80,7 +84,8 @@ class ExponentQuery:
     Queries are equal when their content is: both channels' rows, ``q``,
     ``costs``, ``aux`` rows, ``gamma`` and the two rates, floats compared
     by their bits (-0.0 is stored as 0.0). The envelope cache keys on the
-    rate-free query.
+    rate-free query. The content key and its hash are computed once, when
+    the query is built.
     """
 
     pair: WiretapPair
@@ -91,6 +96,8 @@ class ExponentQuery:
     rate_e: float = 0.0
     aux: DiscreteChannel | None = None
     input: CostedInput = field(init=False, repr=False)
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         costs = _cost_vector(self.costs, self.pair.num_inputs)
@@ -112,6 +119,9 @@ class ExponentQuery:
         object.__setattr__(self, "rate_b", rate_b)
         object.__setattr__(self, "rate_e", rate_e)
         object.__setattr__(self, "input", law)
+        key = self._content()
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     __reduce__ = _rebuild
 
@@ -123,10 +133,10 @@ class ExponentQuery:
     def __eq__(self, other):
         if not isinstance(other, ExponentQuery):
             return NotImplemented
-        return self._content() == other._content()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self._content())
+        return self._hash
 
     def with_rates(self, rate_b=None, rate_e=None):
         return replace(
@@ -246,6 +256,7 @@ def _kappa(side, rho):
 
 def _tilted_e0(side, rho, query, r, s):
     _check_rho(rho, secrecy=side == "eve")
+    r, s = _finite_float(r, "tilt r"), _finite_float(s, "tilt s")
     if r < 0.0 or s < 0.0:
         raise ValueError("tilt parameters must be nonnegative")
     return _envelope(query, side).evaluator(_kappa(side, rho), r, s)
@@ -385,8 +396,10 @@ def _envelope(query, side):
     rate_free = query
     if query.rate_b != 0.0 or query.rate_e != 0.0:
         # A copy with both rates 0, not a rebuild: the constructor has checked every field already.
+        # Its key is the rated key with the two rates that end it zeroed.
         rate_free = object.__new__(ExponentQuery)
-        vars(rate_free).update(vars(query), rate_b=0.0, rate_e=0.0)
+        key = query._key[:-2] + _ZERO_RATES_KEY
+        vars(rate_free).update(vars(query), rate_b=0.0, rate_e=0.0, _key=key, _hash=hash(key))
     return _cached_envelope(rate_free, side)
 
 

@@ -61,6 +61,33 @@ class TestExactError:
         mc, se = es.mc_ensemble_error(spec, samples=100_000, seed=3)
         assert abs(exact - mc) <= 4.0 * se
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("ml", range(1, 9))
+    def test_monte_carlo_is_the_per_output_loop_bit_for_bit(self, n, ml):
+        # One pass per output y over every sampled codebook: argmax of the
+        # ML likelihoods (the lower index wins a tie), their row sum, and a
+        # running total of the lost mass over outputs.
+        def per_output(spec, samples, seed):
+            lk, _, idx = es._mc_draws(spec, spec.pair.bob, samples, seed, ml)
+            err = np.zeros(samples)
+            for y in range(lk.shape[1]):
+                cols = lk[idx, y]
+                best = np.argmax(cols, axis=1)
+                sent_mass = cols.sum(axis=1)
+                win_mass = cols[np.arange(samples), best]
+                err += (sent_mass - win_mass) / ml
+            return float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples))
+
+        # eps_y = 0 for exact likelihood ties, a skewed input law; sample
+        # counts that are not a multiple of the block.
+        for eps, q1 in ((0.0, 0.5), (0.1, 0.5), (0.2, 0.85)):
+            spec = es.EnsembleSpec(pair(eps, 0.3), n, ml, 1, [1.0 - q1, q1])
+            for samples in (2, 1001):
+                seed = [n, ml, samples]
+                got = es.mc_ensemble_error(spec, samples, seed)
+                want = per_output(spec, samples, seed)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+
 
 class TestExactDivergence:
     def test_point_mass_input_matches_target(self):
@@ -85,10 +112,12 @@ class TestExactDivergence:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_subcode_divergences_are_the_written_out_formula_bit_for_bit(self, n, L):
+        step = es._block_rows(L, 1 << n)
+
         def written_out(lk, target, idx):
             divs = np.empty(len(idx))
-            for start in range(0, len(idx), es.DIVERGENCE_BLOCK):
-                rows = slice(start, start + es.DIVERGENCE_BLOCK)
+            for start in range(0, len(idx), step):
+                rows = slice(start, start + step)
                 mixtures = lk[idx[rows]].mean(axis=1)
                 positive = mixtures > 0.0
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -101,8 +130,8 @@ class TestExactDivergence:
             spec = es.EnsembleSpec(pair(0.1, eps), n, 1, L, [1.0 - q1, q1])
             lk = es._likelihood_table(spec.pair.eve, n)
             qn = es._block_input_probs(spec.q, n)
-            # 1500 subcodes: more than one block of the helper.
-            idx = rng.choice(1 << n, size=(1500, L), p=qn)
+            # At least 1500 subcodes, and always two blocks of the helper and a partial one.
+            idx = rng.choice(1 << n, size=(max(1500, 2 * step + 7), L), p=qn)
             target = qn @ lk
             assert np.array_equal(es._subcode_divergences(lk, target, idx), written_out(lk, target, idx))
 

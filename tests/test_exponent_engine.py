@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 from dataclasses import astuple
 
 import numpy as np
@@ -120,6 +122,17 @@ class TestExponentBases:
         with pytest.raises(ValueError):
             gallager_e0(0.5, q, r=-1.0)
 
+    @pytest.mark.parametrize("e0", [gallager_e0, resolvability_e0])
+    @pytest.mark.parametrize("tilt", ["r", "s"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tilts_rejected(self, e0, tilt, bad):
+        with pytest.raises(ValueError, match="finite"):
+            e0(0.5, fig_query(), **{tilt: bad})
+
+    def test_huge_finite_tilt_gives_a_finite_value(self):
+        # The exponent base grows linearly in r, so a huge tilt is a huge finite value, not an error.
+        assert math.isfinite(gallager_e0(0.5, fig_query(), r=1e300))
+
 
 class TestQueryValidation:
     def test_infeasible_input_rejected(self):
@@ -215,6 +228,32 @@ class TestQueryValue:
         assert checks == []
         assert (rated.rate_b, rated.rate_e) == (0.1, 0.2)
         assert engine._cached_envelope.cache_info().misses == 1
+
+    def test_content_key_is_computed_once_per_query(self, monkeypatch):
+        calls = []
+        plain_content = ExponentQuery._content
+        monkeypatch.setattr(ExponentQuery, "_content", lambda self: calls.append(1) or plain_content(self))
+        query, rated, twin = fig_query(), fig_query(rate_b=0.1, rate_e=0.2), fig_query()
+        assert len(calls) == 3
+        engine._cached_envelope.cache_clear()
+        for side in ("bob", "eve"):
+            # A rated lookup still finds the zero-rate envelope.
+            envelope = engine._envelope(query, side)
+            assert engine._envelope(rated, side) is envelope
+            assert engine._envelope(twin, side) is envelope
+        assert engine._cached_envelope.cache_info().misses == 2
+        assert query == twin and hash(query) == hash(twin) and query != rated
+        assert len(calls) == 3
+        # Every copy is a new query with its own key, computed once.
+        copies = [
+            dataclasses.replace(query, rate_b=0.1, rate_e=0.2),
+            query.with_rates(0.1, 0.2),
+            pickle.loads(pickle.dumps(rated)),
+            copy.deepcopy(rated),
+        ]
+        assert len(calls) == 3 + len(copies)
+        assert all(c == rated and hash(c) == hash(rated) for c in copies)
+        assert rated.with_rates(0.0, 0.0) == query and hash(rated.with_rates(0.0, 0.0)) == hash(query)
 
     @pytest.mark.parametrize("bad", [-0.1, math.nan])
     def test_replace_and_with_rates_check_the_rates(self, bad):
