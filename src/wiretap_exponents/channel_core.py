@@ -301,9 +301,11 @@ def is_more_capable(pair):
         worst, gap = np.array([1.0 - t_star, t_star]), -neg
     else:
         # Heuristic for >2 letters: simplex sweep, then coordinate golden
-        # refinement around the worst grid point.
+        # refinement around the worst grid point, until a sweep lowers
+        # nothing (a later sweep would repeat its searches), at most three.
         worst, gap = _grid_minimum(bob, eve)
         for _ in range(3):
+            start = gap
             for i, j in itertools.permutations(range(k), 2):
                 budget = worst[i] + worst[j]
                 if budget <= 0.0:
@@ -317,6 +319,8 @@ def is_more_capable(pair):
                 t_star, g = golden_min(lambda t: _info_gap(moved(t), bob, eve), 0.0, budget, tol=1e-10)
                 if g < gap:
                     worst, gap = moved(t_star), g
+            if gap == start:
+                break
     return MoreCapableResult(gap >= -MORE_CAPABLE_TOL, worst, gap)
 
 

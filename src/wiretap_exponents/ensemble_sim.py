@@ -250,6 +250,16 @@ def _mc_draws(spec, channel, samples, seed, width):
     return lk, qn, np.random.default_rng(seed).choice(1 << spec.n, size=(samples, width), p=qn)
 
 
+def _output_totals(lost):
+    # Row sums of (rows, outputs) in output order, the order of a running
+    # total: numpy reduces axis 0 of the C-contiguous transpose row after
+    # row. A single row would be one contiguous sum, which numpy adds
+    # pairwise from 8 terms, so it keeps the running total.
+    if len(lost) == 1:
+        return np.cumsum(lost, axis=1)[:, -1]
+    return np.ascontiguousarray(lost.T).sum(axis=0)
+
+
 def mc_ensemble_error(spec, samples=100_000, seed=0):
     """Monte Carlo estimate of the ensemble error; returns (mean, stderr).
 
@@ -272,8 +282,7 @@ def mc_ensemble_error(spec, samples=100_000, seed=0):
             sent = ((g[0] + g[1]) + (g[2] + g[3])) + ((g[4] + g[5]) + (g[6] + g[7]))
         else:
             sent = g.sum(axis=0)
-        # Summed over outputs in output order, the order of a running total.
-        err[rows] = np.cumsum((sent - g.max(axis=0)) / ml, axis=1)[:, -1]
+        err[rows] = _output_totals((sent - g.max(axis=0)) / ml)
     return float(err.mean()), float(err.std(ddof=1) / math.sqrt(len(err)))
 
 

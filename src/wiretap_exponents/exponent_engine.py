@@ -156,16 +156,27 @@ class ExponentQuery:
 
 def _lse(vals):
     if len(vals) == 2:
-        a, b = vals
-        if b > a:
-            a, b = b, a
-        # Bit for bit the sum below: its first step 0 + exp(a - a) is exactly 1.0, and a two-term add commutes.
-        if math.isfinite(a):
-            return a + math.log(1.0 + math.exp(b - a))
+        return _lse2(*vals)
     m = max(vals, default=_NEG_INF)
-    if m == _NEG_INF:
-        return m
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+    return m if m == _NEG_INF else m + math.log(sum(math.exp(v - m) for v in vals))
+
+
+def _lse2(a, b):
+    """``_lse([a, b])`` bit for bit, from the two floats."""
+    hi, lo = (b, a) if b > a else (a, b)  # hi is max([a, b])
+    if math.isfinite(hi):
+        # The general sum's first step 0 + exp(hi - hi) is exactly 1.0, and a two-term add commutes.
+        return hi + math.log(1.0 + math.exp(lo - hi))
+    # -inf, inf or NaN: the general sum, in the order (a, b).
+    return hi if hi == _NEG_INF else hi + math.log(math.exp(a - hi) + math.exp(b - hi))
+
+
+def _lse_affine(col, t):
+    """``_lse([a + t * b for a, b in col])`` bit for bit; two terms build no list."""
+    if len(col) == 2:
+        (a0, b0), (a1, b1) = col
+        return _lse2(a0 + t * b0, a1 + t * b1)
+    return _lse([a + t * b for a, b in col])
 
 
 class _E0Evaluator:
@@ -180,10 +191,12 @@ class _E0Evaluator:
 
     A one-entry memo keeps what a tilt search repeats at one order: the
     terms ``log q(x) + log W(y|x) / kappa`` keyed on kappa without a prefix,
-    the inner x-sums per (y, v) keyed on (kappa, r) with one. Its floats are
-    the formula's, summed in the same order, so every value is bit-identical
-    to evaluating without it; it is replaced whole, so concurrent callers
-    can at worst repeat work.
+    the inner x-sums per (y, v) keyed on (kappa, r) with one. It is replaced
+    whole, so concurrent callers can at worst repeat work. A sum of two
+    terms, at each of the four levels (merged column, inner x-sum, outer
+    v-sum, y-sum), goes straight to ``_lse2``; only the y-sum lists its
+    terms. Every float is the formula's, summed in the same order, so
+    every value is bit-identical to the plain nested log-sum-exp.
     """
 
     def __init__(self, query, side):
@@ -193,23 +206,19 @@ class _E0Evaluator:
         # gamma - c as Python floats: the bits numpy gives, and faster to add.
         dcs = (query.gamma - query.costs).tolist()
         outputs = range(rows.shape[1])
-        if query.aux is None:
+        self._merged = query.aux is None
+        if self._merged:
             # terms[y] = [(log q(x), log W(y|x), gamma - c(x))] over supported x
-            self._v_terms = None
             self._terms = [
                 [(math.log(q[x]), math.log(rows[x, y]), dcs[x]) for x in support if rows[x, y] > 0.0] for y in outputs
             ]
         else:
-            # v_terms[i] = (log q(v), gamma - cbar(v)) over supported v, and
-            # terms[y] = [(i, [(log aux(x|v) W(y|x), gamma - c(x))] over x)]
-            self._v_terms = [(math.log(q[v]), float(query.gamma - query.input.costs[v])) for v in support]
-            self._terms = [
-                [
-                    (i, [(math.log(p), dcs[x]) for x, p in enumerate(query.aux.rows[v] * rows[:, y]) if p > 0.0])
-                    for i, v in enumerate(support)
-                ]
-                for y in outputs
-            ]
+            # terms[y] = [(log q(v), gamma - cbar(v), col(v, y))] over supported v
+            def col(v, y):  # [(log aux(x|v) W(y|x), gamma - c(x))] over x
+                return [(math.log(p), dcs[x]) for x, p in enumerate(query.aux.rows[v] * rows[:, y]) if p > 0.0]
+
+            dcbs = (query.gamma - query.input.costs).tolist()
+            self._terms = [[(math.log(q[v]), dcbs[v], col(v, y)) for v in support] for y in outputs]
         self._memo = (None, None)
         self._offset = 0.0
         self._offset = self(1.0, 0.0, 0.0)
@@ -217,27 +226,37 @@ class _E0Evaluator:
     def __call__(self, kappa, r, s):
         key, table = self._memo
         outer = []
-        if self._v_terms is None:
+        if self._merged:
             if key != kappa:
                 table = [[(lq + lw / kappa, dc) for lq, lw, dc in col] for col in self._terms]
                 self._memo = (kappa, table)
             t = r + s
             for col in table:
-                ly = _lse([base + t * dc for base, dc in col])
+                ly = _lse_affine(col, t)
                 if ly > _NEG_INF:
                     outer.append(kappa * ly)
         else:
             if key != (kappa, r):
                 kr = kappa * r
-                sums = ([(i, _lse([lwp + kr * dc for lwp, dc in col])) for i, col in row] for row in self._terms)
-                table = [[(i, lx / kappa) for i, lx in row if lx > _NEG_INF] for row in sums]
+                table = []
+                for row in self._terms:
+                    entries = []
+                    for lq, dcb, col in row:
+                        lx = _lse_affine(col, kr)
+                        if lx > _NEG_INF:
+                            entries.append((lq, dcb, lx / kappa))
+                    table.append(entries)
                 self._memo = ((kappa, r), table)
-            base = [lq + s * dcb for lq, dcb in self._v_terms]
             for row in table:
-                ly = _lse([base[i] + lx for i, lx in row])
+                # Terms (log q(v) + s (gamma - cbar(v))) + the inner x-sum / kappa.
+                if len(row) == 2:
+                    (a, b, c), (d, e, f) = row
+                    ly = _lse2(a + s * b + c, d + s * e + f)
+                else:
+                    ly = _lse([a + s * b + c for a, b, c in row])
                 if ly > _NEG_INF:
                     outer.append(kappa * ly)
-        val = -_lse(outer) - self._offset
+        val = -(_lse2(*outer) if len(outer) == 2 else _lse(outer)) - self._offset
         if not math.isfinite(val):
             raise RuntimeError(f"non-finite exponent base (kappa={kappa}, r={r}, s={s}); tilt arguments out of range")
         return val

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import Budget
-from wiretap_exponents import channel_core
+from wiretap_exponents import channel_core, solvers
 from wiretap_exponents import (
     CostedInput,
     DiscreteChannel,
@@ -257,6 +258,55 @@ class TestMoreCapable:
         with Budget("is_more_capable on a 16-letter degraded pair", 30.0):
             result = is_more_capable(WiretapPair(DiscreteChannel(bob), DiscreteChannel(eve)))
         assert result.holds
+
+
+def three_sweeps(bob, eve):
+    # The k > 2 refinement before it stopped at its fixed point: always
+    # three sweeps. Returns (worst, gap, golden searches run).
+    worst, gap = channel_core._grid_minimum(bob, eve)
+    searches = 0
+    for _ in range(3):
+        for i, j in itertools.permutations(range(len(worst)), 2):
+            budget = worst[i] + worst[j]
+            if budget <= 0.0:
+                continue
+
+            def moved(t):
+                q = worst.copy()
+                q[i], q[j] = t, budget - t
+                return q
+
+            t_star, g = solvers.golden_min(lambda t: channel_core._info_gap(moved(t), bob, eve), 0.0, budget, tol=1e-10)
+            searches += 1
+            if g < gap:
+                worst, gap = moved(t_star), g
+    return worst, gap, searches
+
+
+def test_refinement_stops_at_its_fixed_point_with_the_same_bits(monkeypatch):
+    # A sweep that lowers nothing leaves worst as it was, so every later
+    # sweep would repeat it: stopping there keeps every bit, with fewer searches.
+    searches = 0
+
+    def counted(*args, **kwargs):
+        nonlocal searches
+        searches += 1
+        return solvers.golden_min(*args, **kwargs)
+
+    monkeypatch.setattr(channel_core, "golden_min", counted)
+    rng = np.random.default_rng(5)
+    fixed = 0
+    for k, degraded in itertools.product((3, 4, 5), (True, False)):
+        bob = rng.dirichlet(np.ones(k), size=k)
+        eve = bob @ rng.dirichlet(np.ones(k), size=k) if degraded else rng.dirichlet(np.ones(k), size=k)
+        worst, gap, oracle_searches = three_sweeps(bob, eve)
+        searches = 0
+        result = is_more_capable(WiretapPair(DiscreteChannel(bob), DiscreteChannel(eve)))
+        assert result.min_gap.hex() == gap.hex()
+        assert [x.hex() for x in result.worst_input] == [x.hex() for x in worst]
+        assert searches <= oracle_searches
+        fixed += searches < oracle_searches
+    assert fixed > 0
 
 
 def old_simplex_grid(dim, resolution):

@@ -1,11 +1,12 @@
 """Bit-identity of the memoised E0 evaluator against the plain one it replaced.
 
 ``_oracle_lse`` and ``_OracleE0Evaluator`` are the evaluator without the
-term memos or the two-term log-sum-exp branch, kept verbatim as the
+term memos or the two-term log-sum-exp fast path, kept verbatim as the
 oracle: every value of ``exponent_engine._E0Evaluator`` must have the
 same bits, and every non-finite value must raise the same error.
 """
 
+import inspect
 import itertools
 import math
 import sys
@@ -18,7 +19,7 @@ import pytest
 from wiretap_exponents import DiscreteChannel, ExponentQuery, WiretapPair, cli
 from wiretap_exponents import exponent_engine as engine
 from wiretap_exponents.channel_core import lifted_cost
-from wiretap_exponents.exponent_engine import _E0Evaluator, _lse
+from wiretap_exponents.exponent_engine import _E0Evaluator, _lse, _lse2
 
 GOLDEN_FIGURES = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "figures"
 # E0 evaluations of `figures --which 4 --points 17` from a cold envelope cache.
@@ -183,6 +184,71 @@ def test_non_finite_values_raise_the_oracle_error(prefixed):
     assert raised > 0
 
 
+# Channels with zeros, so a sum has one, two or three terms (or none).
+_EDGE_CHANNELS = {
+    "bsc": [[0.9, 0.1], [0.1, 0.9]],
+    "z": [[1.0, 0.0], [0.2, 0.8]],
+    "erasure": [[0.7, 0.3, 0.0], [0.0, 0.4, 0.6]],
+    "ternary": [[0.6, 0.4], [0.0, 1.0], [0.3, 0.7]],
+    "ternary_zeros": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]],
+}
+
+
+def _edge_queries():
+    # Binary and mixed pairs, with and without a prefix (one with a zero),
+    # a uniform q and one with a zero, unit and 1.5e8 cost steps, binding
+    # and slack caps. With 1e300 tilts, the 1.5e8 steps overflow the terms.
+    for bob, eve in (("bsc", "z"), ("z", "erasure"), ("ternary", "ternary_zeros")):
+        pair = WiretapPair(DiscreteChannel(_EDGE_CHANNELS[bob]), DiscreteChannel(_EDGE_CHANNELS[eve]))
+        k = pair.num_inputs
+        prefixes = (None, np.eye(k), [[1.0 / k] * k, [1.0] + [0.0] * (k - 1)])
+        for scale, prefix in itertools.product((1.0, 1.5e8), prefixes):
+            costs = scale * np.arange(k, dtype=float)
+            aux = None if prefix is None else DiscreteChannel(prefix)
+            v = k if aux is None else aux.num_inputs
+            laws = (np.full(v, 1.0 / v), np.array([0.0] + [1.0 / (v - 1)] * (v - 1)))
+            for q, slack in itertools.product(laws, (0.0, scale)):
+                gamma = float(q @ (costs if aux is None else lifted_cost(aux, costs))) + slack
+                yield ExponentQuery(pair, q, costs, gamma, aux=aux)
+
+
+def _oracle_levels():
+    # The four _oracle_lse calls of the oracle's __call__ by line: merged column, inner x-sum, outer v-sum, y-sum.
+    lines, start = inspect.getsourcelines(_OracleE0Evaluator.__call__)
+    sites = [start + i for i, line in enumerate(lines) if "_oracle_lse(" in line]
+    assert len(sites) == 4
+    return dict(zip(sites, ("merged", "inner", "outer", "final")))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_edge_queries_match_the_oracle_at_extreme_orders_and_tilts(monkeypatch):
+    levels, sizes, fallbacks = _oracle_levels(), set(), set()
+    plain = _oracle_lse
+
+    def recording(vals):
+        level = levels[sys._getframe(1).f_lineno]
+        sizes.add((level, len(vals)))
+        if len(vals) == 2 and not math.isfinite(max(vals)):
+            fallbacks.add(level)
+        return plain(vals)
+
+    monkeypatch.setitem(globals(), "_oracle_lse", recording)
+    kappas = (1e-310, 1e-300, 1e-3, 1.0, 1.999, 2.0)
+    tilts = (0.0, 1.0, 1e300)
+    raised = 0
+    for query in _edge_queries():
+        for side in ("bob", "eve"):
+            fast, oracle = _E0Evaluator(query, side), _OracleE0Evaluator(query, side)
+            for kappa, r, s in itertools.product(kappas, tilts, tilts):
+                expected = _outcome(oracle, kappa, r, s)
+                assert _outcome(fast, kappa, r, s) == expected, (query, side, kappa, r, s)
+                raised += isinstance(expected, tuple)
+    # Every level sums one, two and three terms, and takes the non-finite fallback of a two-term sum.
+    assert {(level, n) for level in levels.values() for n in (1, 2, 3)} <= sizes
+    assert fallbacks == set(levels.values())
+    assert raised > 0
+
+
 _LSE_CASES = [
     [],
     [0.0],
@@ -199,6 +265,9 @@ _LSE_CASES = [
     [1.0, math.inf],
     [math.inf, math.inf],
     [math.inf, _NEG_INF],
+    [_NEG_INF, math.inf],
+    [_NEG_INF, math.nan],
+    [math.nan, _NEG_INF],
     [math.nan, 1.0],
     [1.0, math.nan],
     [-745.0, 0.0],
@@ -220,7 +289,14 @@ def test_lse_two_terms_bit_identical_on_random_pairs():
     pairs = rng.normal(scale=rng.choice([1e-3, 1.0, 30.0, 800.0], size=(20000, 1)), size=(20000, 2)).tolist()
     pairs += [[a, a] for a, _ in pairs[:500]]
     for pair in pairs:
-        assert _bits(_lse(pair)) == _bits(_oracle_lse(pair)), pair
+        assert _bits(_lse(pair)) == _bits(_lse2(*pair)) == _bits(_oracle_lse(pair)), pair
+
+
+def test_lse2_bit_identical_to_oracle_on_special_pairs():
+    # The order of the two floats decides max([a, b]) when one is NaN.
+    specials = [_NEG_INF, -745.0, -1.0, -0.0, 0.0, 1e-300, 2.5, 1e308, math.inf, math.nan]
+    for a, b in itertools.product(specials, repeat=2):
+        assert _bits(_lse2(a, b)) == _bits(_oracle_lse([a, b])), (a, b)
 
 
 def test_figure_4_matches_its_golden_csvs_with_the_same_e0_calls(tmp_path, monkeypatch, capsys):

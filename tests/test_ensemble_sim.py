@@ -89,6 +89,21 @@ class TestExactError:
                 assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_output_totals_are_the_running_total_bit_for_bit(self, n):
+        # At every block shape of the Monte Carlo loop, a full block and the
+        # ragged last block of 1001 samples, with lost masses spanning many
+        # magnitudes: the last column of a running total over outputs.
+        rng = np.random.default_rng(n)
+        for ml in range(1, es.MAX_CODEBOOK + 1):
+            step = es._block_rows(ml, 1 << n)
+            for rows in {step, 1001 % step, 1}:
+                shape = (rows, 1 << n)
+                lost = rng.random(shape) ** rng.integers(1, 3 * n + 1, size=shape) / ml
+                want = np.cumsum(lost, axis=1)[:, -1]
+                assert [x.hex() for x in es._output_totals(lost)] == [x.hex() for x in want]
+
+
 class TestExactDivergence:
     def test_point_mass_input_matches_target(self):
         # with a deterministic input law every codeword is identical and the
