@@ -7,6 +7,12 @@ divergence between the output law of one L-codeword subcode and the
 target output law. The exact values certify the exponential upper
 bounds evaluated by ``error_bound`` and ``divergence_bounds``.
 
+W^n and q^n are products of per-letter terms, so every averaged quantity
+is unchanged when the n letters of every codeword and of the output are
+permuted together (the method of types). A subcode's divergence is
+therefore evaluated once per joint type, the multiset of its n column
+patterns, and an output's share of the error once per output weight.
+
 Decoding ties are broken toward the lower codeword index, which keeps
 the enumeration deterministic; any fixed tie rule keeps the bounds
 valid. Costs play no role here: the trivial cost (c identically 1 with
@@ -110,15 +116,20 @@ def exact_ensemble_error(spec):
     expectation over i.i.d. codebooks is computed in closed form: for a
     transmitted codeword with likelihood t at output y, an independent
     competitor beats it with the probability mass above t (plus the mass
-    at t for competitors with lower index).
+    at t for competitors with lower index). An output's share depends on
+    its weight w only (permuting the letters of y permutes its likelihood
+    column bitwise), so the closed form runs once per weight, on the
+    output with ones in its first w letters, counted C(n, w) times.
     """
     ml = spec.M * spec.L
     if ml == 1:
         return 0.0
-    lk = _likelihood_table(spec.pair.bob, spec.n)
-    qn = _block_input_probs(spec.q, spec.n)
+    n = spec.n
+    lk = _likelihood_table(spec.pair.bob, n)
+    qn = _block_input_probs(spec.q, n)
     correct = 0.0
-    for col in lk.T:
+    for w in range(n + 1):
+        col = lk[:, (1 << w) - 1]
         uniq, inv = np.unique(col, return_inverse=True)
         mass = np.zeros(uniq.size)
         np.add.at(mass, inv, qn)
@@ -128,8 +139,10 @@ def exact_ensemble_error(spec):
         survive_late = np.maximum(1.0 - p_gt, 0.0)
         survive_early = np.maximum(1.0 - p_gt - p_eq, 0.0)
         weight = qn * col
+        share = 0.0
         for j in range(1, ml + 1):
-            correct += float(np.sum(weight * survive_early ** (j - 1) * survive_late ** (ml - j)))
+            share += float(np.sum(weight * survive_early ** (j - 1) * survive_late ** (ml - j)))
+        correct += math.comb(n, w) * share
     return max(1.0 - correct / ml, 0.0)
 
 
@@ -142,6 +155,41 @@ def _block_rows(width, outputs):
     # ``outputs`` doubles, within GATHER_BUDGET; at least 32 rows, since
     # width <= MAX_CODEBOOK and outputs <= 2^MAX_BLOCK.
     return GATHER_BUDGET // (width * outputs)
+
+
+def _type_codes(idx, n):
+    """One uint64 per row of ``idx`` (codewords of n bits, at most 8 per row): its joint type.
+
+    Letter k of a row has the column pattern sum_j (bit k of idx[i, j]) << j,
+    one byte. The n patterns of each row are sorted and packed into one
+    uint64. Equal codes mean one row is a coordinate permutation of the
+    other, applied to every codeword at once, so the two subcodes have
+    the same divergence.
+    """
+    width = idx.shape[1]
+    letters = np.arange(n, dtype=np.uint8)[:, None]
+    codes = np.empty(len(idx), dtype=np.uint64)
+    # A block's 8 pattern bytes per row take at most the 512 KB of one likelihood gather.
+    step = _block_rows(width, n)
+    for start in range(0, len(idx), step):
+        block = idx[start:start + step].astype(np.uint8, copy=False)
+        patterns = np.zeros((8, len(block)), dtype=np.uint8)  # patterns[k]: letter k of every row
+        for j in range(width):
+            patterns[:n] |= ((block[:, j] >> letters) & 1) << j
+        # Odd-even transposition sort: n rounds of compare-exchange of neighbouring letters.
+        for rnd in range(n):
+            for k in range(rnd % 2, n - 1, 2):
+                low = np.minimum(patterns[k], patterns[k + 1])
+                np.maximum(patterns[k], patterns[k + 1], out=patterns[k + 1])
+                patterns[k] = low
+        codes[start:start + step] = np.ascontiguousarray(patterns.T).view(np.uint64)[:, 0]
+    return codes
+
+
+def _type_divergences(lk, target, idx, n):
+    """_subcode_divergences of every row of ``idx``, evaluated once per joint type (its first row)."""
+    _, first, inverse = np.unique(_type_codes(idx, n), return_index=True, return_inverse=True)
+    return _subcode_divergences(lk, target, idx[first])[inverse]
 
 
 def _subcode_divergences(lk, target, idx):
@@ -164,7 +212,8 @@ def exact_ensemble_divergence(spec):
     law. Subcodes are exchangeable, so only the first is enumerated:
     every multiset of L codewords, weighted by its multinomial
     probability, contributes D(mixture || target), summed in
-    enumeration order.
+    enumeration order. The divergence is evaluated once per joint type
+    of the enumerated rows (see _type_codes), at most C(n + 2^L - 1, n).
     """
     n, L = spec.n, spec.L
     if _divergence_work(n, L) > MAX_DIVERGENCE_WORK:
@@ -173,7 +222,7 @@ def exact_ensemble_divergence(spec):
     qn = _block_input_probs(spec.q, n)
     support = np.flatnonzero(qn > 0.0).tolist()
     multisets = itertools.chain.from_iterable(itertools.combinations_with_replacement(support, L))
-    idx = np.fromiter(multisets, dtype=np.intp).reshape(-1, L)
+    idx = np.fromiter(multisets, dtype=np.uint8).reshape(-1, L)
     # Multinomial weights L! prod q(c) / prod (multiplicity)!, each
     # factorial divided out where its run of equal entries ends.
     fact = np.array([float(math.factorial(k)) for k in range(L + 1)])
@@ -182,7 +231,7 @@ def exact_ensemble_divergence(spec):
         same = idx[:, j] == idx[:, j - 1] if j else False
         weight = weight * qn[idx[:, j]] / np.where(same, 1.0, fact[run])
         run = np.where(same, run + 1, 1)
-    divs = np.maximum(_subcode_divergences(lk, qn @ lk, idx), 0.0)
+    divs = np.maximum(_type_divergences(lk, qn @ lk, idx, n), 0.0)
     return float(np.cumsum(weight / fact[run] * divs)[-1])
 
 
@@ -287,9 +336,12 @@ def mc_ensemble_error(spec, samples=100_000, seed=0):
 
 
 def mc_ensemble_divergence(spec, samples=100_000, seed=0):
-    """Monte Carlo estimate of the subcode divergence; returns (mean, stderr); needs at least 2 samples."""
+    """Monte Carlo estimate of the subcode divergence; returns (mean, stderr); needs at least 2 samples.
+
+    Each sampled subcode's divergence is evaluated once per joint type (see _type_codes).
+    """
     lk, qn, idx = _mc_draws(spec, spec.pair.eve, samples, seed, spec.L)
-    divs = _subcode_divergences(lk, qn @ lk, idx)
+    divs = _type_divergences(lk, qn @ lk, idx, spec.n)
     return float(divs.mean()), float(divs.std(ddof=1) / math.sqrt(len(divs)))
 
 

@@ -15,16 +15,21 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 MAX_BISECTIONS = 200
 
 
-def golden_max(f, lo, hi, tol=1e-10):
+def golden_max(f, lo, hi, tol=1e-10, f_lo=None, f_hi=None):
     """Maximize a unimodal function on [lo, hi] by golden-section search.
 
     Returns (x, f(x)). Both endpoints are evaluated and participate in
     the final argmax, so an optimum pinned at the bracket edge (a tilt
     parameter at exactly 0, say) is returned exactly, not approximately.
+    ``f_lo`` and ``f_hi``, when given, are taken as f(lo) and f(hi)
+    instead of evaluating f there.
     """
     if hi < lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
-    f_lo, f_hi = f(lo), f(hi)
+    if f_lo is None:
+        f_lo = f(lo)
+    if f_hi is None:
+        f_hi = f(hi)
     if hi - lo <= tol:
         return (lo, f_lo) if f_lo >= f_hi else (hi, f_hi)
     a, b = lo, hi
@@ -58,9 +63,8 @@ def scan_then_golden_max(f, lo, hi, scan_points=17, tol=1e-10):
     xs = [lo + (hi - lo) * i / (scan_points - 1) for i in range(scan_points)]
     vals = [f(x) for x in xs]
     k = max(range(scan_points), key=lambda i: vals[i])
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, scan_points - 1)]
-    return golden_max(f, a, b, tol=tol)
+    i, j = max(k - 1, 0), min(k + 1, scan_points - 1)
+    return golden_max(f, xs[i], xs[j], tol=tol, f_lo=vals[i], f_hi=vals[j])
 
 
 def golden_min(f, lo, hi, tol=1e-10):

@@ -23,7 +23,7 @@ from wiretap_exponents.exponent_engine import _E0Evaluator, _lse, _lse2
 
 GOLDEN_FIGURES = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "figures"
 # E0 evaluations of `figures --which 4 --points 17` from a cold envelope cache.
-FIGURE_4_E0_CALLS = 305_198
+FIGURE_4_E0_CALLS = 294_366
 
 _NEG_INF = float("-inf")
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap_exponents import DiscreteChannel, WiretapPair
 from wiretap_exponents import ensemble_sim as es
@@ -273,3 +275,160 @@ class TestReport:
         for key in ("exact_error", "bound_error", "exact_divergence", "bound_psi", "bound_phi", "slacks"):
             assert key in report
         assert min(report["slacks"].values()) >= -1e-12
+
+
+# The per-column, per-row evaluations that the type-class ones replaced,
+# kept verbatim as oracles: the closed form over every output column and
+# the divergence of every enumerated or sampled subcode.
+def _oracle_exact_ensemble_error(spec):
+    ml = spec.M * spec.L
+    if ml == 1:
+        return 0.0
+    lk = es._likelihood_table(spec.pair.bob, spec.n)
+    qn = es._block_input_probs(spec.q, spec.n)
+    correct = 0.0
+    for col in lk.T:
+        uniq, inv = np.unique(col, return_inverse=True)
+        mass = np.zeros(uniq.size)
+        np.add.at(mass, inv, qn)
+        above = np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]])
+        p_gt = above[inv]
+        p_eq = mass[inv]
+        survive_late = np.maximum(1.0 - p_gt, 0.0)
+        survive_early = np.maximum(1.0 - p_gt - p_eq, 0.0)
+        weight = qn * col
+        for j in range(1, ml + 1):
+            correct += float(np.sum(weight * survive_early ** (j - 1) * survive_late ** (ml - j)))
+    return max(1.0 - correct / ml, 0.0)
+
+
+def _oracle_exact_ensemble_divergence(spec):
+    n, L = spec.n, spec.L
+    if es._divergence_work(n, L) > es.MAX_DIVERGENCE_WORK:
+        raise ValueError(f"divergence enumeration too large for n={n}, L={L}")
+    lk = es._likelihood_table(spec.pair.eve, n)
+    qn = es._block_input_probs(spec.q, n)
+    support = np.flatnonzero(qn > 0.0).tolist()
+    multisets = itertools.chain.from_iterable(itertools.combinations_with_replacement(support, L))
+    idx = np.fromiter(multisets, dtype=np.intp).reshape(-1, L)
+    # Multinomial weights L! prod q(c) / prod (multiplicity)!, each
+    # factorial divided out where its run of equal entries ends.
+    fact = np.array([float(math.factorial(k)) for k in range(L + 1)])
+    weight, run = np.full(len(idx), fact[L]), np.zeros(len(idx), dtype=np.intp)
+    for j in range(L):
+        same = idx[:, j] == idx[:, j - 1] if j else False
+        weight = weight * qn[idx[:, j]] / np.where(same, 1.0, fact[run])
+        run = np.where(same, run + 1, 1)
+    divs = np.maximum(es._subcode_divergences(lk, qn @ lk, idx), 0.0)
+    return float(np.cumsum(weight / fact[run] * divs)[-1])
+
+
+def _oracle_mc_ensemble_divergence(spec, samples=100_000, seed=0):
+    lk, qn, idx = es._mc_draws(spec, spec.pair.eve, samples, seed, spec.L)
+    divs = es._subcode_divergences(lk, qn @ lk, idx)
+    return float(divs.mean()), float(divs.std(ddof=1) / math.sqrt(len(divs)))
+
+
+# (eps, q1): exact ties, a single-codeword support either way, a skewed law.
+TYPE_SETTINGS = [(0.0, 0.5), (0.1, 0.0), (0.1, 1.0), (0.2, 0.15)]
+# The error depends on M*L only and the divergences on L only, so every
+# M*L <= 8 and every L <= 3 the work guard admits, plus (5, 2, 4) and (3, 1, 8).
+ERROR_SHAPES = [(n, ml) for n in range(1, 9) for ml in range(1, 9)]
+DIVERGENCE_SHAPES = [
+    (n, L) for n in range(1, 9) for L in (1, 2, 3) if es._divergence_work(n, L) <= es.MAX_DIVERGENCE_WORK
+] + [(5, 4), (3, 8)]
+
+
+def _coordinate_permutation(n, perm):
+    # Block index c with letter k moved to letter perm[k], for every c.
+    blocks = np.arange(1 << n)
+    return sum(((blocks >> k) & 1) << int(perm[k]) for k in range(n))
+
+
+class TestTypeClassesMatchTheOracles:
+    @pytest.mark.parametrize("n, ml", ERROR_SHAPES)
+    def test_exact_error(self, n, ml):
+        # The oracle adds 2^n * ML terms to one running total of at most ML,
+        # each addition rounding by up to half an ulp of it: that, divided
+        # by ML, bounds its own rounding (8.2e-15 seen at n = 8, ML = 8).
+        rounding = (1 << n) * ml * np.finfo(np.float64).eps / 2.0
+        for eps, q1 in TYPE_SETTINGS:
+            spec = es.EnsembleSpec(pair(eps, 0.3), n, ml, 1, [1.0 - q1, q1])
+            want = _oracle_exact_ensemble_error(spec)
+            assert es.exact_ensemble_error(spec) == pytest.approx(want, rel=1e-13, abs=max(rounding, 1e-15)), (eps, q1)
+
+    @pytest.mark.parametrize("n, L", DIVERGENCE_SHAPES)
+    def test_exact_divergence(self, n, L):
+        for eps, q1 in TYPE_SETTINGS:
+            spec = es.EnsembleSpec(pair(0.1, eps), n, 1, L, [1.0 - q1, q1])
+            want = _oracle_exact_ensemble_divergence(spec)
+            assert es.exact_ensemble_divergence(spec) == pytest.approx(want, rel=1e-13, abs=1e-15), (eps, q1)
+
+    @pytest.mark.parametrize("n, L", DIVERGENCE_SHAPES)
+    def test_monte_carlo_divergence(self, n, L):
+        for eps, q1 in TYPE_SETTINGS:
+            spec = es.EnsembleSpec(pair(0.1, eps), n, 1, L, [1.0 - q1, q1])
+            seed = [n, L]
+            got = es.mc_ensemble_divergence(spec, 3001, seed)
+            want = _oracle_mc_ensemble_divergence(spec, 3001, seed)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (eps, q1)
+
+
+class TestTypeCodes:
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_equal_codes_are_exactly_the_coordinate_permutation_orbits(self, n, L):
+        # Every ordered L-tuple of n-bit codewords; two tuples are related
+        # when one coordinate permutation, applied to each codeword, maps
+        # one onto the other. The orbit's smallest tuple key names it.
+        idx = np.array(list(itertools.product(range(1 << n), repeat=L)), dtype=np.intp).reshape(-1, L)
+        place = (1 << n) ** np.arange(L)
+        orbit = np.min(
+            [_coordinate_permutation(n, perm)[idx] @ place for perm in itertools.permutations(range(n))], axis=0
+        )
+        codes = es._type_codes(idx, n)
+        assert len(np.unique(codes)) == len(np.unique(orbit))
+        pairs = np.unique(np.stack([codes, orbit.astype(np.uint64)]), axis=1)
+        assert pairs.shape[1] == len(np.unique(codes))
+
+    @given(
+        n=st.integers(1, es.MAX_BLOCK),
+        L=st.integers(1, es.MAX_CODEBOOK),
+        eps=st.sampled_from([0.0, 0.05, 0.3, 0.5]),
+        q1=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_divergence_invariant_under_a_coordinate_permutation(self, n, L, eps, q1, seed):
+        rng = np.random.default_rng(seed)
+        spec = es.EnsembleSpec(pair(0.1, eps), n, 1, L, [1.0 - q1, q1])
+        lk = es._likelihood_table(spec.pair.eve, n)
+        qn = es._block_input_probs(spec.q, n)
+        target = qn @ lk
+        idx = rng.choice(1 << n, size=(1, L), p=qn)
+        moved = _coordinate_permutation(n, rng.permutation(n))[idx]
+        assert es._type_codes(idx, n) == es._type_codes(moved, n)
+        # The mixture is permuted bitwise; the target and the sum over
+        # outputs are rounded in another order, so the bound is a few
+        # roundings of the summed magnitudes of the terms.
+        mixture = lk[idx[0]].mean(axis=0)
+        positive = mixture > 0.0
+        scale = np.sum(np.abs(mixture[positive] * (np.log(mixture[positive]) - np.log(target[positive]))))
+        change = abs(es._subcode_divergences(lk, target, idx)[0] - es._subcode_divergences(lk, target, moved)[0])
+        assert change <= 16.0 * np.finfo(np.float64).eps * scale
+
+    @pytest.mark.parametrize("n, L", [(8, 2), (6, 3)])
+    def test_exact_divergence_evaluates_one_row_per_type(self, monkeypatch, n, L):
+        # At most C(n + 2^L - 1, n) joint types (165 and 1,716 here), one
+        # divergence row each, where one row per multiset is 32,896 and 45,760.
+        rows = 0
+        plain = es._divergences
+
+        def counted(laws, ref):
+            nonlocal rows
+            rows += len(laws)
+            return plain(laws, ref)
+
+        monkeypatch.setattr(es, "_divergences", counted)
+        es.exact_ensemble_divergence(es.EnsembleSpec(pair(), n, 1, L, [0.5, 0.5]))
+        assert 0 < rows <= math.comb(n + (1 << L) - 1, n)
