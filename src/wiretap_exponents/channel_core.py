@@ -256,6 +256,14 @@ def _info_gap(q, bob_rows, eve_rows):
     return _mutual_informations(q, bob_rows) - _mutual_informations(q, eve_rows)
 
 
+def _binary_gap_optimum(bob, eve, lo, hi, sign):
+    """(law, gap) at the binary law [1 - t, t], t in [lo, hi], maximising sign * gap; sign -1.0 finds the minimum."""
+    t_star, best = scan_then_golden_max(
+        lambda t: sign * _info_gap(np.array([1.0 - t, t]), bob, eve), lo, hi, scan_points=BINARY_SCAN_POINTS, tol=1e-12
+    )
+    return np.array([1.0 - t_star, t_star]), sign * best
+
+
 def _simplex_resolution(k):
     # Largest r <= SIMPLEX_RESOLUTION (24 up to k = 6) whose C(r + k - 1, k - 1) grid points fit the budget.
     fits = [r for r in range(1, SIMPLEX_RESOLUTION + 1) if math.comb(r + k - 1, k - 1) <= SIMPLEX_BUDGET]
@@ -295,10 +303,7 @@ def is_more_capable(pair):
     """
     k, bob, eve = pair.num_inputs, pair.bob.rows, pair.eve.rows
     if k == 2:
-        t_star, neg = scan_then_golden_max(
-            lambda t: -_info_gap(np.array([1.0 - t, t]), bob, eve), 0.0, 1.0, scan_points=BINARY_SCAN_POINTS, tol=1e-12
-        )
-        worst, gap = np.array([1.0 - t_star, t_star]), -neg
+        worst, gap = _binary_gap_optimum(bob, eve, 0.0, 1.0, -1.0)
     else:
         # Heuristic for >2 letters: simplex sweep, then coordinate golden
         # refinement around the worst grid point, until a sweep lowers

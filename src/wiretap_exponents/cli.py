@@ -53,44 +53,27 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _curve_rows(curve):
-    meta = curve.meta
-    rhos = meta.get("argmax_rho")
-    rs = meta.get("argmax_r")
-    ss = meta.get("argmax_s")
-    rows = []
-    for i in range(len(curve)):
-        rows.append(
-            {
-                "rate": _fmt(curve.rates[i]),
-                "exponent": _fmt(curve.exponents[i]),
-                "argmax_rho": _fmt(rhos[i]) if rhos is not None else "",
-                "argmax_r": _fmt(rs[i]) if rs is not None else "",
-                "argmax_s": _fmt(ss[i]) if ss is not None else "",
-            }
-        )
-    return rows
-
-
 CSV_COLUMNS = ("rate", "exponent", "argmax_rho", "argmax_r", "argmax_s")
+
+
+def _curve_rows(curve):
+    """One row of floats per point, in CSV_COLUMNS order; None where the curve records no argmax."""
+    argmax = [curve.meta.get(name) for name in CSV_COLUMNS[2:]]
+    return [
+        [float(curve.rates[i]), float(curve.exponents[i])] + [None if col is None else float(col[i]) for col in argmax]
+        for i in range(len(curve))
+    ]
 
 
 def curve_to_csv(curve, header_lines=()):
     lines = [f"# {h}" for h in header_lines]
     lines.append(",".join(CSV_COLUMNS))
-    for row in _curve_rows(curve):
-        lines.append(",".join(row[c] for c in CSV_COLUMNS))
+    lines += [",".join("" if v is None else _fmt(v) for v in row) for row in _curve_rows(curve)]
     return "\n".join(lines) + "\n"
 
 
 def curve_to_json(curve):
-    return {
-        "meta": {k: v for k, v in curve.meta.items()},
-        "points": [
-            {k: (float(v) if v != "" else None) for k, v in row.items()}
-            for row in _curve_rows(curve)
-        ],
-    }
+    return {"meta": dict(curve.meta), "points": [dict(zip(CSV_COLUMNS, row)) for row in _curve_rows(curve)]}
 
 
 def read_curve_csv(path):

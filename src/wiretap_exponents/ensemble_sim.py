@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_core import WiretapPair, _divergences, _laws, _rebuild, _whole_number
-from .exponent_engine import ExponentQuery, _envelope, _optimize
+from .exponent_engine import ExponentQuery, reliability_optimum, resolvability_e0
 from .solvers import scan_then_golden_max
 
 MAX_BLOCK = 8
@@ -166,24 +166,19 @@ def _type_codes(idx, n):
     other, applied to every codeword at once, so the two subcodes have
     the same divergence.
     """
-    width = idx.shape[1]
+    codewords = idx.astype(np.uint8, copy=False)
     letters = np.arange(n, dtype=np.uint8)[:, None]
-    codes = np.empty(len(idx), dtype=np.uint64)
-    # A block's 8 pattern bytes per row take at most the 512 KB of one likelihood gather.
-    step = _block_rows(width, n)
-    for start in range(0, len(idx), step):
-        block = idx[start:start + step].astype(np.uint8, copy=False)
-        patterns = np.zeros((8, len(block)), dtype=np.uint8)  # patterns[k]: letter k of every row
-        for j in range(width):
-            patterns[:n] |= ((block[:, j] >> letters) & 1) << j
-        # Odd-even transposition sort: n rounds of compare-exchange of neighbouring letters.
-        for rnd in range(n):
-            for k in range(rnd % 2, n - 1, 2):
-                low = np.minimum(patterns[k], patterns[k + 1])
-                np.maximum(patterns[k], patterns[k + 1], out=patterns[k + 1])
-                patterns[k] = low
-        codes[start:start + step] = np.ascontiguousarray(patterns.T).view(np.uint64)[:, 0]
-    return codes
+    # patterns[k]: letter k of every row; 8 bytes a row, as many as one int64 codeword index.
+    patterns = np.zeros((8, len(idx)), dtype=np.uint8)
+    for j in range(idx.shape[1]):
+        patterns[:n] |= ((codewords[:, j] >> letters) & 1) << j
+    # Odd-even transposition sort: n rounds of compare-exchange of neighbouring letters.
+    for rnd in range(n):
+        for k in range(rnd % 2, n - 1, 2):
+            low = np.minimum(patterns[k], patterns[k + 1])
+            np.maximum(patterns[k], patterns[k + 1], out=patterns[k + 1])
+            patterns[k] = low
+    return np.ascontiguousarray(patterns.T).view(np.uint64)[:, 0]
 
 
 def _type_divergences(lk, target, idx, n):
@@ -237,7 +232,7 @@ def exact_ensemble_divergence(spec):
 
 def _trivial_cost_query(spec):
     # The trivial cost (c identically 1 with cap 1) has zero tilt caps, so
-    # the shared envelope of this query holds the untilted E0 exactly.
+    # every optimum of this query is untilted: its envelope is E0 at r = s = 0.
     return ExponentQuery(spec.pair, spec.q, np.ones(2), 1.0)
 
 
@@ -257,10 +252,10 @@ def _psi(rho, channel, q):
 def error_bound(spec):
     """Exponential upper bound 2 exp(-n E_r(log(ML)/n)) on the expected decoding error.
 
-    E_r is the untilted random-coding exponent from the shared rho search.
+    E_r is the untilted random-coding exponent, ``reliability_optimum`` at rate log(ML)/n.
     """
     rate = math.log(spec.M * spec.L) / spec.n
-    return 2.0 * math.exp(-spec.n * _optimize(_trivial_cost_query(spec), "bob", rate).raw)
+    return 2.0 * math.exp(-spec.n * reliability_optimum(_trivial_cost_query(spec).with_rates(rate)).raw)
 
 
 def divergence_bounds(spec):
@@ -270,14 +265,14 @@ def divergence_bounds(spec):
     form is the one with a closed single-letter development.
     """
     n, L = spec.n, spec.L
-    envelope = _envelope(_trivial_cost_query(spec), "eve")
+    query = _trivial_cost_query(spec)
     log_l = math.log(L)
 
     def psi_neg(rho):
         return n * _psi(rho, spec.pair.eve, spec.q) + math.log(rho) + rho * log_l
 
     def phi_neg(rho):
-        return n * envelope(1.0 - rho)[0] + math.log(rho) + rho * log_l
+        return n * resolvability_e0(rho, query) + math.log(rho) + rho * log_l
 
     _, best_psi = scan_then_golden_max(psi_neg, 1e-6, 1.0, scan_points=33, tol=1e-12)
     _, best_phi = scan_then_golden_max(phi_neg, 1e-6, 1.0 - 1e-9, scan_points=33, tol=1e-12)
@@ -285,8 +280,9 @@ def divergence_bounds(spec):
 
 
 def holder_gap(spec, rho):
-    """psi(rho) - phi(-rho) for the tapped channel; nonnegative for rho in (0,1)."""
-    return _psi(rho, spec.pair.eve, spec.q) - _envelope(_trivial_cost_query(spec), "eve")(1.0 - rho)[0]
+    """psi(rho) - phi(-rho) for the tapped channel; nonnegative for rho in (0, 1), ValueError outside."""
+    phi = resolvability_e0(rho, _trivial_cost_query(spec))  # first, so rho is checked before _psi runs
+    return _psi(rho, spec.pair.eve, spec.q) - phi
 
 
 def _mc_draws(spec, channel, samples, seed, width):

@@ -30,10 +30,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .channel_core import (
-    BINARY_SCAN_POINTS,
     CostedInput,
     DiscreteChannel,
     WiretapPair,
+    _binary_gap_optimum,
     _cost_vector,
     _divergences,
     _finite_float,
@@ -324,23 +324,15 @@ def _max_over_tilts(ev, kappa, caps, merged):
     # nested search, which is the common case: whenever the input law
     # meets the cost cap the tilt gradient at the origin is nonpositive.
     r_max, s_max = caps
+    sweeps, scan_points, tol = 3, 7, 1e-8
     if merged:
-        t_cap = r_max + s_max
-        if t_cap <= 0.0:
-            return ev(kappa, 0.0, 0.0), 0.0, 0.0
-        h = min(_PROBE_STEP, 0.5 * t_cap)
-        v00 = ev(kappa, 0.0, 0.0)
-        if ev(kappa, h, 0.0) <= v00:
-            return v00, 0.0, 0.0
-        t_star, val = scan_then_golden_max(
-            lambda t: ev(kappa, t, 0.0), 0.0, t_cap, scan_points=9, tol=1e-9
-        )
-        return val, t_star, 0.0
-    if r_max <= 0.0 and s_max <= 0.0:
-        return ev(kappa, 0.0, 0.0), 0.0, 0.0
+        # Without a prefix E0 depends on r + s only: one tilt t = r + s,
+        # reported as r, searched in one finer sweep.
+        r_max, s_max = r_max + s_max, 0.0
+        sweeps, scan_points, tol = 1, 9, 1e-9
     v00 = ev(kappa, 0.0, 0.0)
-    hr = min(_PROBE_STEP, 0.5 * r_max) if r_max > 0.0 else 0.0
-    hs = min(_PROBE_STEP, 0.5 * s_max) if s_max > 0.0 else 0.0
+    # A zero cap gives a zero step, which probes nothing: with both caps zero the origin is returned at once.
+    hr, hs = min(_PROBE_STEP, 0.5 * r_max), min(_PROBE_STEP, 0.5 * s_max)
     if (
         (hr == 0.0 or ev(kappa, hr, 0.0) <= v00)
         and (hs == 0.0 or ev(kappa, 0.0, hs) <= v00)
@@ -349,21 +341,21 @@ def _max_over_tilts(ev, kappa, caps, merged):
         return v00, 0.0, 0.0
 
     # Joint concavity and smoothness make coordinate ascent converge to
-    # the global tilt optimum, but the sweep count is fixed at three and
-    # three do not always get there: on figure 4's prefix query (aux =
+    # the global tilt optimum, but the prefix sweep count is fixed at three
+    # and three do not always get there: on figure 4's prefix query (aux =
     # BSC(0.025)) they stop short, leaving eve's envelope low by up to
     # 2e-4. Sweeping to convergence is ROADMAP item 1, which re-records
     # figure 4's golden outputs.
     r_star = s_star = 0.0
     val = v00
-    for _ in range(3):
+    for _ in range(sweeps):
         if r_max > 0.0:
             r_star, val = scan_then_golden_max(
-                lambda r: ev(kappa, r, s_star), 0.0, r_max, scan_points=7, tol=1e-8
+                lambda r: ev(kappa, r, s_star), 0.0, r_max, scan_points=scan_points, tol=tol
             )
         if s_max > 0.0:
             s_star, val = scan_then_golden_max(
-                lambda s: ev(kappa, r_star, s), 0.0, s_max, scan_points=7, tol=1e-8
+                lambda s: ev(kappa, r_star, s), 0.0, s_max, scan_points=scan_points, tol=tol
             )
     return val, r_star, s_star
 
@@ -542,8 +534,7 @@ def reliability_zero_rate(query):
     if info <= 0.0:
         return 0.0
     hi = 1.05 * info + 0.01
-    if _optimize(query, "bob", 0.0).value < ZERO_RATE_THRESHOLD:
-        return 0.0
+    # bisect_boundary's first test is rate 0, where it returns 0.0 if the exponent vanishes there already.
     return bisect_boundary(
         lambda rate: _optimize(query, "bob", rate).value < ZERO_RATE_THRESHOLD, 0.0, hi, tol=ZERO_RATE_TOL
     )
@@ -597,11 +588,7 @@ def _feasible_binary_interval(costs, gamma):
 
 def _best_input_binary(pair, costs, gamma):
     lo, hi = _feasible_binary_interval(costs, gamma)
-    bob, eve = pair.bob.rows, pair.eve.rows
-    t_star, best = scan_then_golden_max(
-        lambda t: _info_gap(np.array([1.0 - t, t]), bob, eve), lo, hi, scan_points=BINARY_SCAN_POINTS, tol=1e-12
-    )
-    return np.array([1.0 - t_star, t_star]), best
+    return _binary_gap_optimum(pair.bob.rows, pair.eve.rows, lo, hi, 1.0)
 
 
 def _project_simplex(v):

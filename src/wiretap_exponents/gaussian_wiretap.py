@@ -168,6 +168,7 @@ def reliability_gallager(params, rate):
 
 
 def _check_secrecy_rate(params, rate_e):
+    rate_e = _finite_float(rate_e, "resolvability rate")
     floor = 0.5 * math.log1p(params.snr_eve)
     if rate_e < floor - 1e-12:
         raise ValueError(f"resolvability rate must be at least {floor}, got {rate_e}")

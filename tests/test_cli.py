@@ -63,6 +63,51 @@ class TestCsvEmission:
         assert line.endswith(",,,")
 
 
+def _csv_points(text):
+    """{curve name: rows of floats (None for an empty field)} from CSV on stdout."""
+    curves, name = {}, None
+    for line in text.splitlines():
+        if line.startswith("# curve "):
+            name = line[len("# curve "):]
+            curves[name] = []
+        elif line and not line.startswith("#") and line != ",".join(cli.CSV_COLUMNS):
+            curves[name].append([None if v == "" else float(v) for v in line.split(",")])
+    return curves
+
+
+def _bits(row):
+    return [None if v is None else float(v).hex() for v in row]
+
+
+GAUSSIAN_SETUP = ["--Ay", "1", "--Az", "0.5", "--sy", "0.5", "--sz", "0.8", "--gamma", "0.5"]
+POISSON_SETUP = ["--Ay", "12", "--Az", "5", "--ly", "0.5", "--lz", "1.5", "--gamma", "0.5", "--q", "0.38"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponents", "--config", "CONFIG"],
+        ["poisson", "curves", *POISSON_SETUP],
+        ["poisson", "concat", *POISSON_SETUP, "--a", "0.98", "--b", "0.02"],
+        ["gaussian", "reliability", "--variant", "gallager", *GAUSSIAN_SETUP],
+        ["gaussian", "secrecy", *GAUSSIAN_SETUP],
+    ],
+    ids=["exponents", "poisson_curves", "poisson_concat", "gaussian_reliability", "gaussian_secrecy"],
+)
+def test_json_points_equal_the_csv_bit_for_bit(argv, config_path, capsys):
+    argv = [config_path if a == "CONFIG" else a for a in argv] + ["--points", "6"]
+    assert cli.main(argv) == 0
+    csv = _csv_points(capsys.readouterr().out)
+    assert cli.main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert csv and set(csv) <= set(payload)
+    for name, rows in csv.items():
+        points = [[p[c] for c in cli.CSV_COLUMNS] for p in payload[name]["points"]]
+        assert list(map(_bits, points)) == list(map(_bits, rows)) and len(rows) == 6
+        if argv[0] == "gaussian":
+            assert all(p[2:] == [None, None, None] for p in points)
+
+
 class TestCommands:
     def test_capacity_json(self, config_path, capsys):
         code = cli.main(["capacity", "--config", config_path])

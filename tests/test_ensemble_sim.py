@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from wiretap_exponents import DiscreteChannel, WiretapPair
 from wiretap_exponents import ensemble_sim as es
+from wiretap_exponents import exponent_engine as engine
+from wiretap_exponents.solvers import scan_then_golden_max
 
 
 def pair(eps_b=0.1, eps_e=0.3):
@@ -262,6 +265,32 @@ class TestBounds:
         for rho in np.linspace(0.02, 0.98, 25):
             assert es.holder_gap(spec, float(rho)) >= -1e-12
 
+    @pytest.mark.parametrize("rho", [0.0, 1.0, 1.5, -0.5, math.nan, math.inf])
+    def test_holder_gap_rejects_rho_outside_the_open_unit_interval(self, rho):
+        spec = es.EnsembleSpec(pair(0.1, 0.3), 3, 2, 2, [0.5, 0.5])
+        with pytest.raises(ValueError, match="rho must be in"):
+            es.holder_gap(spec, rho)
+
+    @pytest.mark.parametrize("eps_e, q1", [(0.3, 0.5), (0.1, 0.2), (0.0, 0.7)])
+    def test_bounds_equal_the_envelope_and_rho_search_bit_for_bit(self, eps_e, q1):
+        # The bounds read the public optimum and E0; with the trivial cost
+        # both are the shared envelope and rho search of the same query.
+        for n, m, l in ((3, 2, 2), (5, 1, 4), (2, 4, 1)):
+            spec = es.EnsembleSpec(pair(0.1, eps_e), n, m, l, [1.0 - q1, q1])
+            query = es._trivial_cost_query(spec)
+            envelope = engine._envelope(query, "eve")
+            raw = engine._optimize(query, "bob", math.log(m * l) / n).raw
+            assert es.error_bound(spec) == 2.0 * math.exp(-n * raw)
+
+            def phi_neg(rho):
+                return n * envelope(1.0 - rho)[0] + math.log(rho) + rho * math.log(l)
+
+            _, best_phi = scan_then_golden_max(phi_neg, 1e-6, 1.0 - 1e-9, scan_points=33, tol=1e-12)
+            assert es.divergence_bounds(spec)[1] == 2.0 * math.exp(-best_phi)
+            for rho in (0.05, 0.5, 0.95):
+                psi = es._psi(rho, spec.pair.eve, spec.q)
+                assert es.holder_gap(spec, rho) == psi - envelope(1.0 - rho)[0]
+
     def test_holder_gap_zero_for_noiseless(self):
         spec = es.EnsembleSpec(pair(0.0, 0.0), 2, 1, 2, [0.5, 0.5])
         for rho in (0.25, 0.5, 0.75):
@@ -390,6 +419,17 @@ class TestTypeCodes:
         assert len(np.unique(codes)) == len(np.unique(orbit))
         pairs = np.unique(np.stack([codes, orbit.astype(np.uint64)]), axis=1)
         assert pairs.shape[1] == len(np.unique(codes))
+
+    @pytest.mark.parametrize("n, L, dtype", [(8, 2, np.int64), (5, 4, np.uint8), (3, 8, np.int64)])
+    def test_code_packs_the_rows_sorted_patterns(self, n, L, dtype):
+        # 20,000 rows, more than one likelihood gather holds at these shapes.
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, 1 << n, size=(20_000, L)).astype(dtype)
+        codes = es._type_codes(idx, n)
+        assert codes.shape == (len(idx),)
+        for i in rng.choice(len(idx), 300, replace=False):
+            patterns = sorted(sum(((int(c) >> k) & 1) << j for j, c in enumerate(idx[i])) for k in range(n))
+            assert int(codes[i]) == int.from_bytes(bytes(patterns + [0] * (8 - n)), sys.byteorder)
 
     @given(
         n=st.integers(1, es.MAX_BLOCK),

@@ -140,6 +140,12 @@ class TestSecrecyForms:
             with pytest.raises(ValueError):
                 fn(p, floor * 0.9)
 
+    @pytest.mark.parametrize("fn", [gw.secrecy_forward_tilt, gw.secrecy_gallager_type])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, fn, rate):
+        with pytest.raises(ValueError, match="resolvability rate must be finite"):
+            fn(fig_params(), rate)
+
     def test_monotone_convex_positive_inside(self):
         p = fig_params()
         floor = 0.5 * math.log1p(p.snr_eve)
