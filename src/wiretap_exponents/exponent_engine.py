@@ -171,12 +171,143 @@ def _lse2(a, b):
     return hi if hi == _NEG_INF else hi + math.log(math.exp(a - hi) + math.exp(b - hi))
 
 
-def _lse_affine(col, t):
-    """``_lse([a + t * b for a, b in col])`` bit for bit; two terms build no list."""
-    if len(col) == 2:
-        (a0, b0), (a1, b1) = col
-        return _lse2(a0 + t * b0, a1 + t * b1)
-    return _lse([a + t * b for a, b in col])
+def _lse_lines(out, terms):
+    """Source lines that set ``out`` to ``_lse([*terms])`` bit for bit.
+
+    Two terms must be names: their sum is ``_lse2`` inline. Of the two,
+    the larger is finite when it is below inf and, being larger, above
+    -inf; a tie or a NaN leaves the first, which must pass both tests.
+    """
+    if len(terms) != 2:
+        return [f"{out} = _lse([{', '.join(terms)}])"]
+    a, b = terms
+    return [
+        f"if {b} > {a}:",
+        f"    {out} = {b} + log(1.0 + exp({a} - {b})) if {b} < inf else _lse2({a}, {b})",
+        "else:",
+        f"    {out} = {a} + log(1.0 + exp({b} - {a})) if neg_inf < {a} < inf else _lse2({a}, {b})",
+    ]
+
+
+def _kept_lse_lines(out, names):
+    """Lines that set ``out`` to the sum of ``kappa * l`` over the names l that are > -inf.
+
+    The common case, every term kept, is inline; a dropped term sends the kept ones to ``_lse``.
+    """
+    if not names:
+        return [f"{out} = _lse([])"]
+    terms = [f"kappa * {name}" for name in names]
+    if len(names) == 2:
+        kept = [f"o0 = {terms[0]}", f"o1 = {terms[1]}", *_lse_lines(out, ["o0", "o1"])]
+    else:
+        kept = _lse_lines(out, terms)
+    return [
+        f"if {' and '.join(f'{name} > neg_inf' for name in names)}:",
+        *(f"    {line}" for line in kept),
+        "else:",
+        f"    {out} = _lse([kappa * l for l in ({', '.join(names)},) if l > neg_inf])",
+    ]
+
+
+def _merged_kernel_lines(counts):
+    # Floats per term (q, w, d) = (log q(x), log W(y|x), gamma - c(x)); memo (kappa, a...) with a = q + w / kappa.
+    n = range(sum(counts))
+    memo = ", ".join(f"a{i}" for i in n)
+    head = [
+        f"{''.join(f'q{i}, w{i}, d{i}, ' for i in n)}= floats",
+        f"memo = (None,) * {len(n) + 1}",
+        "def kernel(kappa, r, s):",
+        "    nonlocal memo",
+        f"    key, {memo} = memo",
+        "    if key != kappa:",
+        *(f"        a{i} = q{i} + w{i} / kappa" for i in n),
+        f"        memo = (kappa, {memo})",
+        "    t = r + s",
+    ]
+    body, sums, i = [], [], 0
+    for y, count in enumerate(counts):
+        if count:
+            terms = [f"x{j}" for j in range(i, i + count)]
+            body += [f"x{j} = a{j} + t * d{j}" for j in range(i, i + count)] + _lse_lines(f"ly{y}", terms)
+            sums.append(f"ly{y}")
+            i += count
+    body += _kept_lse_lines("z", sums)
+    return head + [f"    {line}" for line in body]
+
+
+def _prefix_kernel_lines(counts):
+    # Floats per v (g, h) = (log q(v), gamma - cbar(v)), then per inner term
+    # (p, d) = (log aux(x|v) W(y|x), gamma - c(x)). Memo (kappa, r, full, c...):
+    # c = the inner x-sum over kappa per (y, v), None where it is dropped.
+    vs, xs = range(len(counts[0])), range(sum(map(sum, counts)))
+    sums = [(y, v, n) for y, row in enumerate(counts) for v, n in enumerate(row) if n]
+    m = range(len(sums))
+    memo = ", ".join(f"c{j}" for j in m)
+    head = [
+        f"{''.join(f'g{v}, h{v}, ' for v in vs)}{''.join(f'p{i}, d{i}, ' for i in xs)}= floats",
+        f"memo = (None,) * {len(m) + 3}",
+        "def kernel(kappa, r, s):",
+        "    nonlocal memo",
+        f"    key_kappa, key_r, full, {memo} = memo",
+        "    if key_kappa != kappa or key_r != r:",
+        "        kr = kappa * r",
+    ]
+    inner, i = [], 0
+    for j, (_, _, n) in enumerate(sums):
+        terms = [f"x{k}" for k in range(i, i + n)]
+        inner += [f"x{k} = p{k} + kr * d{k}" for k in range(i, i + n)] + _lse_lines(f"lx{j}", terms)
+        i += n
+    inner += [
+        f"if {' and '.join(f'lx{j} > neg_inf' for j in m)}:",
+        "    full = True",
+        *(f"    c{j} = lx{j} / kappa" for j in m),
+        "else:",
+        "    full = False",
+        *(f"    c{j} = lx{j} / kappa if lx{j} > neg_inf else None" for j in m),
+        f"memo = (kappa, r, full, {memo})",
+    ]
+    used = sorted({v for _, v, _ in sums})
+    body = [f"e{v} = g{v} + s * h{v}" for v in used]
+    every_kept, some_dropped, outer = [], [], []
+    for y in range(len(counts)):
+        row = [(v, j) for j, (y_, v, _) in enumerate(sums) if y_ == y]
+        if row:
+            every_kept += [f"u{j} = e{v} + c{j}" for v, j in row] + _lse_lines(f"ly{y}", [f"u{j}" for _, j in row])
+            pairs = ", ".join(f"(e{v}, c{j})" for v, j in row)
+            some_dropped.append(f"ly{y} = _lse([e + c for e, c in ({pairs},) if c is not None])")
+            outer.append(f"ly{y}")
+    body += ["if full:", *(f"    {line}" for line in every_kept), "else:", *(f"    {line}" for line in some_dropped)]
+    body += _kept_lse_lines("z", outer)
+    return head + [f"        {line}" for line in inner] + [f"    {line}" for line in body]
+
+
+# Compiled kernels kept, one per (prefixed, support pattern), least recently used first out.
+KERNEL_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _kernel_binder(prefixed, counts):
+    """Compile the straight-line E0 kernel of one support pattern and return its binder.
+
+    ``counts`` holds term counts only, so the source is built from integers
+    and no float is formatted into it. ``bind(floats, offset)`` takes an
+    evaluator's floats as one flat tuple and returns its kernel, a closure
+    over them and a one-entry memo: ``kernel(kappa, r, s)`` is E0 less the
+    offset, and raises ``RuntimeError`` where that is not finite.
+    """
+    lines = (_prefix_kernel_lines if prefixed else _merged_kernel_lines)(counts) + [
+        "    val = -z - offset",
+        "    if neg_inf < val < inf:",
+        "        return val",
+        '    raise RuntimeError(',
+        '        f"non-finite exponent base (kappa={kappa}, r={r}, s={s}); tilt arguments out of range"',
+        "    )",
+        "return kernel",
+    ]
+    source = "\n".join(["def bind(floats, offset):", *(f"    {line}" for line in lines)])
+    namespace = {"_lse": _lse, "_lse2": _lse2, "exp": math.exp, "log": math.log, "inf": math.inf, "neg_inf": _NEG_INF}
+    exec(compile(source, f"<E0 kernel {'prefixed' if prefixed else 'merged'} {counts}>", "exec"), namespace)
+    return namespace["bind"]
 
 
 class _E0Evaluator:
@@ -189,14 +320,22 @@ class _E0Evaluator:
     rho = 0 collapse is then exact and rates past the zero crossing give
     an exact zero exponent.
 
+    The nested sums run as straight-line code, compiled once per support
+    pattern (``_kernel_binder``): the term count of each y column without
+    a prefix, the inner x-term count of each (y, v) with one. Each
+    evaluator binds its own floats to a compiled kernel. A sum of two
+    terms, at each of the four levels (merged column, inner x-sum, outer
+    v-sum, y-sum), is the closed form of ``_lse2`` inline; any other
+    length goes to ``_lse``. A term that is not > -inf is dropped from
+    the sum over v and from the y-sum, and then ``_lse`` sums the kept
+    terms.
+
     A one-entry memo keeps what a tilt search repeats at one order: the
     terms ``log q(x) + log W(y|x) / kappa`` keyed on kappa without a prefix,
     the inner x-sums per (y, v) keyed on (kappa, r) with one. It is replaced
-    whole, so concurrent callers can at worst repeat work. A sum of two
-    terms, at each of the four levels (merged column, inner x-sum, outer
-    v-sum, y-sum), goes straight to ``_lse2``; only the y-sum lists its
-    terms. Every float is the formula's, summed in the same order, so
-    every value is bit-identical to the plain nested log-sum-exp.
+    as one tuple, so concurrent callers can at worst repeat work. Every
+    float is the formula's, summed in the same order, so every value is
+    bit-identical to the plain nested log-sum-exp.
     """
 
     def __init__(self, query, side):
@@ -206,60 +345,32 @@ class _E0Evaluator:
         # gamma - c as Python floats: the bits numpy gives, and faster to add.
         dcs = (query.gamma - query.costs).tolist()
         outputs = range(rows.shape[1])
-        self._merged = query.aux is None
-        if self._merged:
-            # terms[y] = [(log q(x), log W(y|x), gamma - c(x))] over supported x
-            self._terms = [
+        if query.aux is None:
+            # cols[y] = [(log q(x), log W(y|x), gamma - c(x))] over supported x
+            cols = [
                 [(math.log(q[x]), math.log(rows[x, y]), dcs[x]) for x in support if rows[x, y] > 0.0] for y in outputs
             ]
+            counts = tuple(map(len, cols))
+            floats = [f for col in cols for term in col for f in term]
         else:
-            # terms[y] = [(log q(v), gamma - cbar(v), col(v, y))] over supported v
-            def col(v, y):  # [(log aux(x|v) W(y|x), gamma - c(x))] over x
+            # cols[y][v] = [(log aux(x|v) W(y|x), gamma - c(x))] over x, for supported v
+            def col(v, y):
                 return [(math.log(p), dcs[x]) for x, p in enumerate(query.aux.rows[v] * rows[:, y]) if p > 0.0]
 
             dcbs = (query.gamma - query.input.costs).tolist()
-            self._terms = [[(math.log(q[v]), dcbs[v], col(v, y)) for v in support] for y in outputs]
-        self._memo = (None, None)
+            cols = [[col(v, y) for v in support] for y in outputs]
+            counts = tuple(tuple(map(len, row)) for row in cols)
+            floats = [f for v in support for f in (math.log(q[v]), dcbs[v])]
+            floats += [f for row in cols for c in row for term in c for f in term]
+        bind, floats = _kernel_binder(query.aux is not None, counts), tuple(floats)
+        # The offset is the evaluator's own value at (1, 0, 0): bound at 0 to find it, then bound.
         self._offset = 0.0
+        self._kernel = bind(floats, 0.0)
         self._offset = self(1.0, 0.0, 0.0)
+        self._kernel = bind(floats, self._offset)
 
     def __call__(self, kappa, r, s):
-        key, table = self._memo
-        outer = []
-        if self._merged:
-            if key != kappa:
-                table = [[(lq + lw / kappa, dc) for lq, lw, dc in col] for col in self._terms]
-                self._memo = (kappa, table)
-            t = r + s
-            for col in table:
-                ly = _lse_affine(col, t)
-                if ly > _NEG_INF:
-                    outer.append(kappa * ly)
-        else:
-            if key != (kappa, r):
-                kr = kappa * r
-                table = []
-                for row in self._terms:
-                    entries = []
-                    for lq, dcb, col in row:
-                        lx = _lse_affine(col, kr)
-                        if lx > _NEG_INF:
-                            entries.append((lq, dcb, lx / kappa))
-                    table.append(entries)
-                self._memo = ((kappa, r), table)
-            for row in table:
-                # Terms (log q(v) + s (gamma - cbar(v))) + the inner x-sum / kappa.
-                if len(row) == 2:
-                    (a, b, c), (d, e, f) = row
-                    ly = _lse2(a + s * b + c, d + s * e + f)
-                else:
-                    ly = _lse([a + s * b + c for a, b, c in row])
-                if ly > _NEG_INF:
-                    outer.append(kappa * ly)
-        val = -(_lse2(*outer) if len(outer) == 2 else _lse(outer)) - self._offset
-        if not math.isfinite(val):
-            raise RuntimeError(f"non-finite exponent base (kappa={kappa}, r={r}, s={s}); tilt arguments out of range")
-        return val
+        return self._kernel(kappa, r, s)
 
 
 def _check_rho(rho, secrecy):

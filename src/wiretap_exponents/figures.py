@@ -11,6 +11,7 @@ from their tradeoff sweep (orderings under rate shifts, rate exchange,
 concatenation and cost changes).
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,10 +81,16 @@ def gaussian_params():
     return gw.GaussianWiretapParams(s["gain_bob"], s["gain_eve"], s["noise_bob"], s["noise_eve"], s["gamma"])
 
 
+@functools.lru_cache(maxsize=1)
+def _bsc_sweep(mechanism, sweep, points):
+    # The last sweep is kept: figures 6 and 7, drawn one after the other, show the two sides of one sweep.
+    return tuple(tradeoff_scenarios(bsc_query(), mechanism, list(sweep), points=points))
+
+
 def _scenario_figure(fig_id, params, mechanism, sweep, points, keep=""):
     """The curves and checks of one tradeoff sweep; ``keep`` keeps one side by its name prefix."""
     curves, checks = [], {}
-    for sc in tradeoff_scenarios(bsc_query(), mechanism, sweep, points=points):
+    for sc in _bsc_sweep(mechanism, tuple(sweep), points):
         curves += [(f"reliability_{sc.label}", sc.reliability), (f"secrecy_{sc.label}", sc.secrecy)]
         checks.update({f"{sc.label}/{name}": result for name, result in sc.checks.items()})
     curves = [(n, c) for n, c in curves if n.startswith(keep)]

@@ -22,7 +22,8 @@ opposite sides of a shared expression.
 * ``secrecy_gallager_type``: parametric in rho, same validity range.
 
 Rates and exponents are nats per channel use. The explicit beta form is
-shared by one reliability and one secrecy variant, and both parametric
+shared by one reliability and one secrecy variant. It is evaluated from
+the rate in u = 1/beta, so it stays finite at every rate. Both parametric
 variants evaluate one parametric form, the reliability one at +rho and
 the secrecy one at -rho.
 """
@@ -71,20 +72,30 @@ def capacity(params):
     return 0.5 * math.log1p(params.snr_bob) - 0.5 * math.log1p(params.snr_eve)
 
 
-def _gallager_form(snr, beta):
-    """Shared explicit exponent form in (SNR, beta), beta = exp(2 * rate).
+def _explicit_form(snr, rate):
+    """Shared explicit exponent form at a positive rate, in u = exp(-2 * rate) in (0, 1).
 
-    Requires beta > 1; the log argument is positive throughout the
-    validity ranges of both users of the form and is guarded anyway.
+    It is the form in beta = exp(2 * rate) = 1/u with beta factored out of
+    the log argument, so no term overflows at any finite rate. The log
+    argument is positive throughout the validity ranges of both users of
+    the form and is guarded anyway.
     """
+    if not rate > 0.0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    u = math.exp(-2.0 * rate)
+    root = math.sqrt(1.0 + 4.0 / (snr * (1.0 - u)))
+    first = 0.25 * snr * ((1.0 + u) - (1.0 - u) * root)
+    inside = 1.0 - 0.5 * snr * (1.0 - u) * (root - 1.0)
+    if inside <= 0.0:
+        raise RuntimeError(f"log argument {inside} not positive at snr={snr}, rate={rate}")
+    return first + 0.5 * math.log(inside) + rate
+
+
+def _gallager_form(snr, beta):
+    """The shared form in its textbook variable beta = exp(2 * rate) > 1."""
     if beta <= 1.0:
         raise ValueError(f"beta must exceed 1, got {beta}")
-    root = math.sqrt(1.0 + 4.0 * beta / (snr * (beta - 1.0)))
-    first = snr / (4.0 * beta) * ((beta + 1.0) - (beta - 1.0) * root)
-    inside = beta - 0.5 * snr * (beta - 1.0) * (root - 1.0)
-    if inside <= 0.0:
-        raise RuntimeError(f"log argument {inside} not positive at snr={snr}, beta={beta}")
-    return first + 0.5 * math.log(inside)
+    return _explicit_form(snr, 0.5 * math.log(beta))
 
 
 def _parametric_rate(snr, rho):
@@ -155,7 +166,7 @@ def reliability_gallager(params, rate):
     a = params.snr_bob
     _, r_crit = critical_rates(params)
     if rate >= r_crit:
-        return _gallager_form(a, math.exp(2.0 * min(rate, cap)))
+        return _explicit_form(a, min(rate, cap))
     beta = _critical_beta(a)
     return (
         1.0
@@ -178,7 +189,7 @@ def _check_secrecy_rate(params, rate_e):
 def secrecy_forward_tilt(params, rate_e):
     """Secrecy exponent, explicit variant, at resolvability rate R_E."""
     rate_e = _check_secrecy_rate(params, rate_e)
-    return _gallager_form(params.snr_eve, math.exp(2.0 * rate_e))
+    return _explicit_form(params.snr_eve, rate_e)
 
 
 def secrecy_gallager_type(params, rate_e):

@@ -353,3 +353,53 @@ def test_shared_evaluator_is_bit_identical_under_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+def _large_query(rng, prefixed, largest, scale):
+    # Larger support patterns: up to 16 letters in and out without a prefix;
+    # with one, |V| <= 4 and |X|, |Y| <= 8. Zeros give one-, two- and many-term sums.
+    # With 1e300 tilts, cost steps of 1e8 overflow terms, so sums drop some.
+    top = 8 if prefixed else 16
+    k, m = (top, top) if largest else (int(rng.integers(5, top + 1)), int(rng.integers(2, top + 1)))
+    pair = WiretapPair(_channel(rng, k, m), _channel(rng, k, m))
+    costs = scale * rng.uniform(0.0, 2.0, size=k) * (rng.random(k) >= 0.2)
+    v = 4 if largest else int(rng.integers(2, 5))
+    aux = DiscreteChannel(np.array([_law(rng, k, 0.5) for _ in range(v)])) if prefixed else None
+    q = _law(rng, k if aux is None else aux.num_inputs, 0.3)
+    gamma = float(q @ (costs if aux is None else lifted_cost(aux, costs))) + scale * float(rng.uniform(0.0, 0.5))
+    return ExponentQuery(pair, q, costs, gamma, aux=aux)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("prefixed", [False, True], ids=["plain", "prefix"])
+@pytest.mark.parametrize("seed", range(6))
+def test_large_support_patterns_bit_identical_to_oracle(seed, prefixed):
+    rng = np.random.default_rng(5000 + 10 * seed + prefixed)
+    query = _large_query(rng, prefixed, largest=seed < 2, scale=1e8 if seed % 2 else 1.0)
+    # Ordinary arguments, then orders and tilts that overflow or drop terms.
+    extreme = itertools.product((1e-300, 0.5, 1.5), (0.0, 1e300, math.inf), (0.0, 1e300, math.inf))
+    for side in ("bob", "eve"):
+        fast, oracle = _E0Evaluator(query, side), _OracleE0Evaluator(query, side)
+        assert _bits(fast._offset) == _bits(oracle._offset)
+        for kappa, r, s in [*_arguments(rng, 40), *extreme]:
+            assert _outcome(fast, kappa, r, s) == _outcome(oracle, kappa, r, s), (kappa, r, s)
+
+
+def test_one_compiled_kernel_per_support_pattern():
+    # Kernels are compiled per zero pattern, not per evaluator; each evaluator binds its own floats.
+    z = DiscreteChannel([[1.0, 0.0], [0.2, 0.8]])
+    engine._kernel_binder.cache_clear()
+    first = _E0Evaluator(ExponentQuery(WiretapPair(DiscreteChannel.bsc(0.1), z), [0.5, 0.5], [0.0, 1.0], 0.5), "bob")
+    assert engine._kernel_binder.cache_info()[:2] == (0, 1)  # (hits, misses)
+    query = ExponentQuery(WiretapPair(DiscreteChannel.bsc(0.2), z), [0.3, 0.7], [0.0, 2.0], 1.5)
+    second = _E0Evaluator(query, "bob")
+    assert engine._kernel_binder.cache_info()[:2] == (1, 1)
+    assert second._kernel.__code__ is first._kernel.__code__
+    assert second(1.5, 0.2, 0.0) != first(1.5, 0.2, 0.0)
+    # The Z channel's zero is another pattern, and so is the same count table under a prefix.
+    third = _E0Evaluator(query, "eve")
+    identity = DiscreteChannel(np.eye(2))
+    prefixed = _E0Evaluator(ExponentQuery(query.pair, [0.5, 0.5], [0.0, 2.0], 1.5, aux=identity), "eve")
+    assert engine._kernel_binder.cache_info()[:2] == (1, 3)
+    codes = {ev._kernel.__code__ for ev in (first, third, prefixed)}
+    assert len(codes) == 3

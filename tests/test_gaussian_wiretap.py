@@ -156,6 +156,12 @@ class TestSecrecyForms:
             assert np.all(np.diff(vals) > 0)
             assert np.all(np.diff(vals, 2) >= -1e-9)
 
+    def test_explicit_form_finite_where_beta_overflows(self):
+        # beta = exp(2 R) overflows past R = 354.9; the form is evaluated in u = exp(-2 R) < 1 instead.
+        vals = [gw.secrecy_forward_tilt(fig_params(), rate) for rate in (10.0, 100.0, 354.0, 355.0, 400.0, 1e6)]
+        assert all(math.isfinite(v) for v in vals)
+        assert vals == sorted(vals)
+
 
 class TestDualities:
     def test_shared_form_transcription(self):
