@@ -3,16 +3,19 @@
 Row-stochastic transition matrices, cost-constrained input distributions,
 mutual information, channel concatenation, and a numerical more-capable
 check. Everything here is immutable after construction and all operations
-are pure functions, so concurrent use needs no coordination.
+are pure functions, so concurrent use needs no coordination. Every value
+type of the package derives from ``_Value``, declared here.
 
 Alphabets in this package are tiny (at most 16 letters), so probabilities
 are stored as dense row-major float64 matrices.
 """
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,10 +54,48 @@ def _whole_number(value, name):
     return int(value)
 
 
+def _frozen_mapping(mapping):
+    """A read-only copy of ``mapping`` (None reads as empty) whose list values are stored as tuples."""
+    return MappingProxyType({k: tuple(v) if isinstance(v, list) else v for k, v in (mapping or {}).items()})
+
+
+def _checked(check, *args, **options):
+    """A ``_Value`` field that the constructor stores as ``check(value, *args)``; ``options`` go to ``field``."""
+    return field(metadata={"check": (check, args)}, **options)
+
+
+@functools.cache
+def _layout(cls):
+    # A value type's constructor arguments, and its checked fields with their checks, in field order.
+    declared = fields(cls)
+    checks = [(f.name, *f.metadata["check"]) for f in declared if "check" in f.metadata]
+    return [f.name for f in declared if f.init], checks
+
+
 def _rebuild(self):
-    # Pickle and deepcopy go through the constructor, which validates the
-    # copy and freezes its arrays again.
-    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+    # Pickle and deepcopy go through the constructor, which checks the copy and
+    # freezes it again. A read-only mapping does not pickle: it goes back as a dict.
+    args = (getattr(self, name) for name in _layout(type(self))[0])
+    return type(self), tuple(dict(a) if isinstance(a, MappingProxyType) else a for a in args)
+
+
+class _Value:
+    """Base of every value type: a frozen dataclass, built and copied one way.
+
+    The constructor stores each ``_checked`` field as its check's result, in
+    field order, then runs ``_validate`` for the rules that span fields.
+    Pickle and deepcopy rebuild through the constructor.
+    """
+
+    def __post_init__(self):
+        for name, check, args in _layout(type(self))[1]:
+            object.__setattr__(self, name, check(getattr(self, name), *args))
+        self._validate()
+
+    def _validate(self):
+        """The rules that span fields; a type with any overrides this."""
+
+    __reduce__ = _rebuild
 
 
 def _laws(values, name="distribution", ndim=1):
@@ -84,7 +125,7 @@ def _cost_vector(costs, k):
 
 
 @dataclass(frozen=True, eq=False)
-class DiscreteChannel:
+class DiscreteChannel(_Value):
     """A discrete memoryless channel W(output | input).
 
     Parameters
@@ -94,12 +135,7 @@ class DiscreteChannel:
         and every entry must lie in [0, 1].
     """
 
-    rows: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _laws(self.rows, "channel matrix", ndim=2))
-
-    __reduce__ = _rebuild
+    rows: np.ndarray = _checked(_laws, "channel matrix", 2)
 
     @property
     def num_inputs(self):
@@ -125,7 +161,7 @@ class DiscreteChannel:
 
 
 @dataclass(frozen=True, eq=False)
-class CostedInput:
+class CostedInput(_Value):
     """Input distribution with a per-letter cost and an average-cost cap.
 
     The constructor rejects inputs whose expected cost exceeds the cap
@@ -133,24 +169,16 @@ class CostedInput:
     the constraint holds.
     """
 
-    probs: np.ndarray
-    costs: np.ndarray
-    gamma: float
+    probs: np.ndarray = _checked(_laws, "input distribution")
+    costs: np.ndarray = _checked(_frozen_array, "costs")
+    gamma: float = _checked(_finite_float, "cost cap")
 
-    def __post_init__(self):
-        probs = _laws(self.probs, "input distribution")
-        costs = _cost_vector(self.costs, probs.shape[0])
-        gamma = _finite_float(self.gamma, "cost cap")
-        if gamma < 0.0:
-            raise ValueError(f"cost cap must be nonnegative, got {gamma}")
-        expected = float(probs @ costs)
-        if expected > gamma + PROB_TOL:
-            raise ValueError(f"expected cost {expected} exceeds cap {gamma}")
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "gamma", gamma)
-
-    __reduce__ = _rebuild
+    def _validate(self):
+        _cost_vector(self.costs, self.probs.shape[0])  # one cost per letter, none negative
+        if self.gamma < 0.0:
+            raise ValueError(f"cost cap must be nonnegative, got {self.gamma}")
+        if self.expected_cost > self.gamma + PROB_TOL:
+            raise ValueError(f"expected cost {self.expected_cost} exceeds cap {self.gamma}")
 
     @property
     def expected_cost(self):
@@ -158,13 +186,13 @@ class CostedInput:
 
 
 @dataclass(frozen=True)
-class WiretapPair:
+class WiretapPair(_Value):
     """A pair of channels sharing one input: ``bob`` legitimate, ``eve`` tapped."""
 
     bob: DiscreteChannel
     eve: DiscreteChannel
 
-    def __post_init__(self):
+    def _validate(self):
         if self.bob.num_inputs != self.eve.num_inputs:
             raise ValueError(
                 f"channels must share the input alphabet: {self.bob.num_inputs} vs {self.eve.num_inputs}"
@@ -233,19 +261,12 @@ def lifted_cost(aux, costs):
 
 
 @dataclass(frozen=True, eq=False)
-class MoreCapableResult:
+class MoreCapableResult(_Value):
     """Outcome of the numerical more-capable scan."""
 
-    holds: bool
-    worst_input: np.ndarray
-    min_gap: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "holds", bool(self.holds))
-        object.__setattr__(self, "worst_input", _frozen_array(self.worst_input, "worst input"))
-        object.__setattr__(self, "min_gap", _finite_float(self.min_gap, "min gap"))
-
-    __reduce__ = _rebuild
+    holds: bool = _checked(bool)
+    worst_input: np.ndarray = _checked(_frozen_array, "worst input")
+    min_gap: float = _checked(_finite_float, "min gap")
 
     def __bool__(self):
         return self.holds

@@ -287,7 +287,7 @@ def cmd_figures(args):
                 f"version {__version__}",
                 f"figure {fig_id}",
                 f"curve {name}",
-                f"params {json.dumps(data.params, sort_keys=True)}",
+                f"params {json.dumps(dict(data.params), sort_keys=True)}",
             ]
             (out_dir / fname).write_text(curve_to_csv(curve, header), encoding="utf-8")
             files.append(fname)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_core import WiretapPair, _divergences, _laws, _rebuild, _whole_number
+from .channel_core import WiretapPair, _checked, _divergences, _laws, _Value, _whole_number
 from .exponent_engine import ExponentQuery, reliability_optimum, resolvability_e0
 from .solvers import scan_then_golden_max
 
@@ -39,7 +39,7 @@ GATHER_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
-class EnsembleSpec:
+class EnsembleSpec(_Value):
     """Parameters of one exact-enumeration run.
 
     ``n`` is the block length, ``M`` the message count, ``L`` the number
@@ -49,29 +49,21 @@ class EnsembleSpec:
     """
 
     pair: WiretapPair
-    n: int
-    M: int
-    L: int
-    q: np.ndarray
+    n: int = _checked(_whole_number, "n")
+    M: int = _checked(_whole_number, "M")
+    L: int = _checked(_whole_number, "L")
+    q: np.ndarray = _checked(_laws, "input distribution")
 
-    def __post_init__(self):
-        pair = self.pair
+    def _validate(self):
+        pair, n, M, L = self.pair, self.n, self.M, self.L
         if pair.bob.num_inputs != 2 or pair.bob.num_outputs != 2 or pair.eve.num_outputs != 2:
             raise ValueError("exact enumeration supports binary-input binary-output pairs only")
-        n, M, L = (_whole_number(getattr(self, name), name) for name in ("n", "M", "L"))
         if not 1 <= n <= MAX_BLOCK:
             raise ValueError(f"block length must be in [1, {MAX_BLOCK}], got {n}")
         if M < 1 or L < 1 or M * L > MAX_CODEBOOK:
             raise ValueError(f"need M, L >= 1 with M*L <= {MAX_CODEBOOK}, got M={M}, L={L}")
-        q = _laws(self.q, "input distribution")
-        if q.shape != (2,):
+        if self.q.shape != (2,):
             raise ValueError("input distribution must be binary")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "q", q)
-
-    __reduce__ = _rebuild
 
 
 def _popcounts(n):

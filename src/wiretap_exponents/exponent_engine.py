@@ -34,12 +34,14 @@ from .channel_core import (
     DiscreteChannel,
     WiretapPair,
     _binary_gap_optimum,
+    _checked,
     _cost_vector,
     _divergences,
     _finite_float,
     _frozen_array,
+    _frozen_mapping,
     _info_gap,
-    _rebuild,
+    _Value,
     _whole_number,
     concatenate,
     is_more_capable,
@@ -70,8 +72,16 @@ def _bits(a):
 _ZERO_RATES_KEY = ((0.0).hex(), (0.0).hex())
 
 
+def _rate(value, name):
+    # Adding 0.0 turns -0.0 into 0.0, so a negative zero keys no second envelope.
+    rate = _finite_float(value, name) + 0.0
+    if rate < 0.0:
+        raise ValueError("rates must be nonnegative")
+    return rate
+
+
 @dataclass(frozen=True, eq=False)
-class ExponentQuery:
+class ExponentQuery(_Value):
     """Everything an exponent evaluation needs: channels, input, costs, rates.
 
     ``q`` lives on the auxiliary alphabet V when ``aux`` is given and on
@@ -92,14 +102,14 @@ class ExponentQuery:
     q: np.ndarray
     costs: np.ndarray
     gamma: float
-    rate_b: float = 0.0
-    rate_e: float = 0.0
+    rate_b: float = _checked(_rate, "rate_b", default=0.0)
+    rate_e: float = _checked(_rate, "rate_e", default=0.0)
     aux: DiscreteChannel | None = None
     input: CostedInput = field(init=False, repr=False)
     _key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def _validate(self):
         costs = _cost_vector(self.costs, self.pair.num_inputs)
         if self.aux is not None:
             if self.aux.num_outputs != self.pair.num_inputs:
@@ -107,23 +117,14 @@ class ExponentQuery:
             cost_on_v = lifted_cost(self.aux, costs)
         else:
             cost_on_v = costs
-        # Adding 0.0 turns -0.0 into 0.0, so a negative zero keys no second envelope.
-        rate_b = _finite_float(self.rate_b, "rate_b") + 0.0
-        rate_e = _finite_float(self.rate_e, "rate_e") + 0.0
-        if rate_b < 0.0 or rate_e < 0.0:
-            raise ValueError("rates must be nonnegative")
         law = CostedInput(self.q, cost_on_v, _finite_float(self.gamma, "cost cap") + 0.0)
         object.__setattr__(self, "q", law.probs)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "gamma", law.gamma)
-        object.__setattr__(self, "rate_b", rate_b)
-        object.__setattr__(self, "rate_e", rate_e)
         object.__setattr__(self, "input", law)
         key = self._content()
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-
-    __reduce__ = _rebuild
 
     def _content(self):
         aux_rows = None if self.aux is None else self.aux.rows
@@ -403,7 +404,7 @@ def resolvability_e0(rho, query, r=0.0, s=0.0):
 
 
 @dataclass(frozen=True)
-class ExponentOptimum:
+class ExponentOptimum(_Value):
     """Optimizer output for one rate point."""
 
     value: float
@@ -569,7 +570,7 @@ def secrecy_exponent(query):
 
 
 @dataclass(frozen=True, eq=False)
-class ExponentCurve:
+class ExponentCurve(_Value):
     """Ordered (rate, exponent) samples with optimizer diagnostics.
 
     Rates and exponents must be finite, rates strictly increasing and
@@ -579,27 +580,18 @@ class ExponentCurve:
     stored as tuples.
     """
 
-    rates: np.ndarray
-    exponents: np.ndarray
-    meta: MappingProxyType | None = None
+    rates: np.ndarray = _checked(_frozen_array, "rates")
+    exponents: np.ndarray = _checked(_frozen_array, "exponents")
+    meta: MappingProxyType | None = _checked(_frozen_mapping, default=None)
 
-    def __post_init__(self):
-        rates = _frozen_array(self.rates, "rates")
-        exponents = _frozen_array(self.exponents, "exponents")
+    def _validate(self):
+        rates, exponents = self.rates, self.exponents
         if rates.ndim != 1 or rates.shape != exponents.shape:
             raise ValueError("rates and exponents must be matching 1-D arrays")
         if rates.size >= 2 and np.any(np.diff(rates) <= 0.0):
             raise ValueError("rates must be strictly increasing")
         if np.any(exponents < -1e-12):
             raise ValueError("exponents must be nonnegative")
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "exponents", exponents)
-        meta = {k: tuple(v) if isinstance(v, list) else v for k, v in (self.meta or {}).items()}
-        object.__setattr__(self, "meta", MappingProxyType(meta))
-
-    def __reduce__(self):
-        # A mappingproxy does not pickle; the constructor freezes the plain dict again.
-        return type(self), (self.rates, self.exponents, dict(self.meta))
 
     def __len__(self):
         return int(self.rates.size)
@@ -663,7 +655,7 @@ def secrecy_zero_rate(query):
 
 
 @dataclass(frozen=True, eq=False)
-class CapacityResult:
+class CapacityResult(_Value):
     """Secrecy capacity search outcome.
 
     ``heuristic`` marks values that are lower bounds from a local search
@@ -671,19 +663,12 @@ class CapacityResult:
     exhaustive scan certificate.
     """
 
-    value: float
-    input_law: np.ndarray
+    value: float = _checked(_finite_float, "capacity value")
+    input_law: np.ndarray = _checked(_frozen_array, "input law")
     aux: DiscreteChannel | None
     more_capable: bool
     heuristic: bool
-    min_info_gap: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _finite_float(self.value, "capacity value"))
-        object.__setattr__(self, "input_law", _frozen_array(self.input_law, "input law"))
-        object.__setattr__(self, "min_info_gap", _finite_float(self.min_info_gap, "min info gap"))
-
-    __reduce__ = _rebuild
+    min_info_gap: float = _checked(_finite_float, "min info gap")
 
 
 def _feasible_binary_interval(costs, gamma):
@@ -845,17 +830,18 @@ def secrecy_capacity(pair, costs, gamma, aux_dim=2, seed=0):
 
 
 @dataclass(frozen=True)
-class TradeoffScenario:
+class TradeoffScenario(_Value):
     """One swept scenario: paired exponent curves plus structural checks.
 
-    ``checks`` maps check names to (ok, worst_slack); a failed check is
-    reported here rather than raised, so callers can render the report.
+    ``checks`` is a read-only mapping of check names to (ok, worst_slack); a
+    failed check is reported here rather than raised, so callers can render
+    the report. It takes no part in the hash.
     """
 
     label: str
     reliability: ExponentCurve
     secrecy: ExponentCurve
-    checks: dict = field(default_factory=dict)
+    checks: MappingProxyType = _checked(_frozen_mapping, default=None, hash=False)
 
     @property
     def ok(self):

@@ -13,13 +13,14 @@ concatenation and cost changes).
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from . import gaussian_wiretap as gw
 from . import poisson_wiretap as pw
-from .channel_core import DiscreteChannel, WiretapPair
+from .channel_core import DiscreteChannel, WiretapPair, _checked, _frozen_mapping, _Value
 from .exponent_engine import ExponentCurve, ExponentQuery, _knot_difference, ordered_curves, tradeoff_scenarios
 
 BSC_SETUP = {
@@ -52,11 +53,17 @@ MONOTONE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class FigureData:
+class FigureData(_Value):
+    """One figure's parameters, its (name, ExponentCurve) pairs, and the checks of its sweep.
+
+    ``checks`` maps "<scenario label>/<check>" to (ok, slack). Both mappings are read-only and take no
+    part in the hash.
+    """
+
     fig_id: int
-    params: dict
-    curves: list = field(default_factory=list)  # (name, ExponentCurve)
-    checks: dict = field(default_factory=dict)  # "<scenario label>/<check>" -> (ok, slack) of the sweep
+    params: MappingProxyType = _checked(_frozen_mapping, hash=False)
+    curves: tuple = _checked(tuple, default=())
+    checks: MappingProxyType = _checked(_frozen_mapping, default=None, hash=False)
 
     def curve(self, name):
         for n, c in self.curves:

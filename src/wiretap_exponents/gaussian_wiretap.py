@@ -4,7 +4,8 @@ Both receivers see an attenuated input plus independent Gaussian noise;
 the input is average-power limited, and with a Gaussian input at full
 power everything reduces to the two effective SNRs ``snr_bob`` and
 ``snr_eve``. Degradedness (noise-to-attenuation ratio no worse for the
-legitimate receiver) is required at construction time.
+legitimate receiver) and two positive SNRs that fit a float are required
+at construction time.
 
 Four exponent formulas are provided, two per side, differing in the
 anchoring of the exponential power tilt: the forward-tilt variants
@@ -29,27 +30,25 @@ the secrecy one at -rho.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .channel_core import _finite_float
+from .channel_core import _checked, _finite_float, _Value
 from .solvers import bisect_root
 
 CRITICAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class GaussianWiretapParams:
+class GaussianWiretapParams(_Value):
     """Attenuations, noise deviations, and the power cap of a Gaussian pair."""
 
-    gain_bob: float
-    gain_eve: float
-    noise_bob: float
-    noise_eve: float
-    gamma: float
+    gain_bob: float = _checked(_finite_float, "gain_bob")
+    gain_eve: float = _checked(_finite_float, "gain_eve")
+    noise_bob: float = _checked(_finite_float, "noise_bob")
+    noise_eve: float = _checked(_finite_float, "noise_eve")
+    gamma: float = _checked(_finite_float, "gamma")
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _finite_float(getattr(self, f.name), f.name))
+    def _validate(self):
         if min(self.gain_bob, self.gain_eve, self.noise_bob, self.noise_eve, self.gamma) <= 0.0:
             raise ValueError("gains, noise deviations, and the power cap must be positive")
         ratio_bob, ratio_eve = self.noise_bob / self.gain_bob, self.noise_eve / self.gain_eve
@@ -57,6 +56,13 @@ class GaussianWiretapParams:
             raise ValueError(
                 f"degradedness requires noise_bob/gain_bob <= noise_eve/gain_eve, got {ratio_bob} > {ratio_eve}"
             )
+        for name in ("snr_bob", "snr_eve"):
+            try:
+                snr = getattr(self, name)
+            except (OverflowError, ZeroDivisionError):  # a gain or noise square left the float range
+                snr = math.inf
+            if not 0.0 < snr < math.inf:
+                raise ValueError(f"{name} = gain^2 * gamma / noise^2 is 0 or does not fit a float")
 
     @property
     def snr_bob(self):

@@ -28,11 +28,11 @@ tilt orders k do not overflow.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_core import CostedInput, DiscreteChannel, WiretapPair, _finite_float, _frozen_array, _rebuild
+from .channel_core import CostedInput, DiscreteChannel, WiretapPair, _checked, _finite_float, _frozen_array, _Value
 from .exponent_engine import ExponentCurve, RHO_EPS, _check_rho
 from .solvers import bisect_root
 
@@ -41,18 +41,16 @@ SECRECY_RHO_MAX = 0.9
 
 
 @dataclass(frozen=True)
-class PoissonWiretapParams:
+class PoissonWiretapParams(_Value):
     """Peak rates, dark currents, and the duty-cycle cap of a Poisson pair."""
 
-    peak_bob: float
-    peak_eve: float
-    dark_bob: float
-    dark_eve: float
-    gamma: float
+    peak_bob: float = _checked(_finite_float, "peak_bob")
+    peak_eve: float = _checked(_finite_float, "peak_eve")
+    dark_bob: float = _checked(_finite_float, "dark_bob")
+    dark_eve: float = _checked(_finite_float, "dark_eve")
+    gamma: float = _checked(_finite_float, "gamma")
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _finite_float(getattr(self, f.name), f.name))
+    def _validate(self):
         peak_bob, peak_eve = self.peak_bob, self.peak_eve
         dark_bob, dark_eve, gamma = self.dark_bob, self.dark_eve, self.gamma
         if peak_bob <= 0.0 or peak_eve <= 0.0:
@@ -85,20 +83,13 @@ class PoissonWiretapParams:
 
 
 @dataclass(frozen=True, eq=False)
-class DiscretizedPoisson:
+class DiscretizedPoisson(_Value):
     """Binary wiretap pair produced by time slicing, plus its cost data."""
 
     pair: WiretapPair
-    costs: np.ndarray
-    gamma: float
-    delta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "costs", _frozen_array(self.costs, "costs"))
-        object.__setattr__(self, "gamma", _finite_float(self.gamma, "gamma"))
-        object.__setattr__(self, "delta", _finite_float(self.delta, "delta"))
-
-    __reduce__ = _rebuild
+    costs: np.ndarray = _checked(_frozen_array, "costs")
+    gamma: float = _checked(_finite_float, "gamma")
+    delta: float = _checked(_finite_float, "delta")
 
     def make_input(self, q_on):
         """CostedInput turning a duty probability into a binary input law."""
@@ -266,13 +257,13 @@ def _gap_derivative(params, q):
 
 
 @dataclass(frozen=True)
-class PoissonCapacity:
+class PoissonCapacity(_Value):
     """Capacity report: value in nats/second plus solver diagnostics."""
 
-    value: float
-    q_star: float
-    q_capped: float
-    residual: float
+    value: float = _checked(_finite_float, "capacity value")
+    q_star: float = _checked(_finite_float, "q_star")
+    q_capped: float = _checked(_finite_float, "q_capped")
+    residual: float = _checked(_finite_float, "residual")
 
 
 def capacity(params):
@@ -286,6 +277,9 @@ def capacity(params):
     lo, hi = 1e-12, 1.0 - 1e-12
     f_lo = _gap_derivative(params, lo)
     f_hi = _gap_derivative(params, hi)
+    if math.isnan(f_lo) or math.isnan(f_hi):
+        # Both peak terms overflowed, with opposite signs: the parameters leave the float range.
+        raise ValueError(f"gap derivative does not fit a float: f({lo})={f_lo}, f({hi})={f_hi}")
     if not (f_lo > 0.0 > f_hi):
         raise RuntimeError(
             f"gap derivative lost its bracket: f({lo})={f_lo}, f({hi})={f_hi}"
@@ -297,15 +291,13 @@ def capacity(params):
 
 
 @dataclass(frozen=True)
-class ConcatenationParams:
+class ConcatenationParams(_Value):
     """Binary auxiliary prefix: on-probabilities a (input on) and b (input off)."""
 
-    a: float
-    b: float
+    a: float = _checked(_finite_float, "a")
+    b: float = _checked(_finite_float, "b")
 
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _finite_float(getattr(self, f.name), f.name))
+    def _validate(self):
         if not (0.0 <= self.b < self.a <= 1.0):
             raise ValueError(f"need 0 <= b < a <= 1, got a={self.a}, b={self.b}")
 

@@ -15,33 +15,26 @@ All divergences are in nats. Target masses below 1e-300 are treated as
 zero for the absolute-continuity checks.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_core import _divergences, _laws, _rebuild
+from .channel_core import _checked, _divergences, _laws, _Value
 
 ZERO_MASS = 1e-300
 IDENTITY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class OutputEnsemble:
+class OutputEnsemble(_Value):
     """M output distributions over a shared finite alphabet plus a target."""
 
-    members: np.ndarray
-    target: np.ndarray
+    members: np.ndarray = _checked(_laws, "members", 2)
+    target: np.ndarray = _checked(_laws, "target")
 
-    def __post_init__(self):
-        members = _laws(self.members, "members", ndim=2)
-        target = _laws(self.target, "target")
-        if target.shape[0] != members.shape[1]:
+    def _validate(self):
+        if self.target.shape[0] != self.members.shape[1]:
             raise ValueError("target alphabet does not match the members")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "target", target)
-
-    __reduce__ = _rebuild
 
     @property
     def size(self):
@@ -57,11 +50,6 @@ class OutputEnsemble:
         if unknown:
             raise ValueError(f"unknown ensemble keys: {sorted(unknown)}")
         return cls(doc["members"], doc["target"])
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _kl(rows, ref, what):

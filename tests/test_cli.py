@@ -303,6 +303,19 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "gaussian capacity --Ay=2 --Az=1e-12 --sy=1e-300 --sz=1e-12 --gamma=0.5",
+            "gaussian capacity --Ay=1e300 --Az=5 --sy=5 --sz=0.5 --gamma=0.999999",
+            "gaussian reliability --Ay=1e300 --Az=5 --sy=5 --sz=0.5 --gamma=0.999999",
+            "poisson capacity --Ay 1e308 --Az 5e307 --ly 0 --lz 1 --gamma 0.5",
+        ],
+    )
+    def test_a_number_past_the_float_range_is_two(self, command, capsys):
+        assert cli.main(command.split()) == 2
+        assert "precondition violation" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["capacity", "exponents"])
     def test_non_finite_config_is_two(self, command, tmp_path, capsys):
         path = tmp_path / "nan.json"

@@ -26,6 +26,18 @@ class TestParams:
         with pytest.raises(ValueError):
             gw.GaussianWiretapParams(1.0, 0.5, 0.5, 0.8, 0.0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2.0, 1e-12, 1e-300, 1e-12, 0.5),  # noise_bob squared underflows to 0
+            (1e300, 5.0, 5.0, 0.5, 0.999999),  # gain_bob squared overflows
+            (1e-200, 1e-200, 1.0, 1.0, 0.5),  # both gains squared underflow: both SNRs are 0
+        ],
+    )
+    def test_snr_outside_the_float_range_rejected(self, args):
+        with pytest.raises(ValueError, match="snr_bob"):
+            gw.GaussianWiretapParams(*args)
+
 
 class TestCapacity:
     def test_reference_value(self):

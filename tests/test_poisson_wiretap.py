@@ -253,6 +253,10 @@ class TestCapacity:
     def test_residual_tiny(self):
         assert pw.capacity(fig_params()).residual < 1e-12
 
+    def test_peaks_that_overflow_the_gap_derivative_are_rejected(self):
+        with pytest.raises(ValueError, match="does not fit a float"):
+            pw.capacity(pw.PoissonWiretapParams(1e308, 5e307, 0.0, 1.0, 0.5))
+
     def test_worst_case_ratio_analytic(self):
         for s in (0.1, 0.5, 1.0, 2.0):
             p = pw.PoissonWiretapParams(12.0, 5.0, 12.0 * s, 5.0 * s, 1.0)

@@ -8,14 +8,18 @@ array.
 
 import copy
 import dataclasses
+import importlib
 import math
 import pickle
+import pkgutil
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wiretap_exponents
 from wiretap_exponents import ensemble_sim, figures
 from wiretap_exponents import gaussian_wiretap as gw
 from wiretap_exponents import poisson_wiretap as pw
@@ -25,15 +29,19 @@ from wiretap_exponents.channel_core import (
     DiscreteChannel,
     MoreCapableResult,
     WiretapPair,
+    _Value,
     mutual_information,
     parse_wiretap_config,
 )
 from wiretap_exponents.exponent_engine import (
     CapacityResult,
     ExponentCurve,
+    ExponentOptimum,
     ExponentQuery,
+    TradeoffScenario,
     reliability_curve,
     secrecy_capacity,
+    tradeoff_scenarios,
 )
 from wiretap_exponents.secrecy_metrics import OutputEnsemble
 
@@ -64,6 +72,20 @@ CASES = {
     "DiscretizedPoisson": ([0.0, 1.0], lambda a: pw.DiscretizedPoisson(_pair(), a, 0.5, 1e-3)),
     "ExponentCurve": ([0.1, 0.2], lambda a: ExponentCurve(a, a + 0.5, {"function": "reliability"})),
     "MoreCapableResult": ([0.6, 0.4], lambda a: MoreCapableResult(True, a, 0.01)),
+    "ExponentOptimum": (None, lambda _: ExponentOptimum(0.1, 0.1, 0.5, 0.2, 0.0)),
+    "PoissonCapacity": (None, lambda _: pw.PoissonCapacity(2.5, 0.4, 0.4, 1e-13)),
+    "TradeoffScenario": (
+        [0.1, 0.2],
+        lambda a: TradeoffScenario(
+            "shift", ExponentCurve(a, a + 0.5), ExponentCurve(a, a), {"reliability_invariant": (False, -0.5)}
+        ),
+    ),
+    "FigureData": (
+        [0.1, 0.2],
+        lambda a: figures.FigureData(
+            3, {"delta": 0.05, "costs": (1.0, 2.0)}, [("reliability", ExponentCurve(a, a))], {"x/y": (True, 0.0)}
+        ),
+    ),
 }
 
 
@@ -78,11 +100,15 @@ def _field_values(value):
 
 
 def _content(value):
-    """Field values all the way down, with arrays as nested lists."""
+    """Field values all the way down, through tuples and mappings, with arrays as nested lists."""
     if dataclasses.is_dataclass(value):
         return (type(value).__name__, *map(_content, _field_values(value)))
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, tuple):
+        return tuple(map(_content, value))
+    if isinstance(value, Mapping):
+        return {k: _content(v) for k, v in value.items()}
     return value
 
 
@@ -133,6 +159,42 @@ def test_curve_meta_cannot_be_changed_in_place():
         assert dict(clone.meta) == dict(curve.meta)
         with pytest.raises(TypeError):
             clone.meta["argmax_rho"] = ()
+
+
+def test_scenario_checks_cannot_be_changed_in_place():
+    scenario = tradeoff_scenarios(figures.bsc_query(), "rate_shift", [0.05], points=3)[1]
+    checks, ok = dict(scenario.checks), scenario.ok
+    with pytest.raises(AttributeError):
+        scenario.checks.clear()
+    with pytest.raises(TypeError):
+        scenario.checks["reliability_invariant"] = (not ok, 0.0)
+    assert dict(scenario.checks) == checks and scenario.ok == ok
+
+
+def test_figure_containers_cannot_be_changed_in_place():
+    data = figures.figure_data(3, points=3)
+    curves, params, checks = data.curves, dict(data.params), dict(data.checks)
+    with pytest.raises(AttributeError):
+        data.curves.append(data.curves[0])
+    with pytest.raises(TypeError):
+        data.params["delta"] = 1.0
+    with pytest.raises(TypeError):
+        data.checks["extra/check"] = (False, -1.0)
+    assert data.curves == curves and dict(data.params) == params and dict(data.checks) == checks
+
+
+def test_every_value_type_is_built_one_way():
+    # Each dataclass of the package takes its construction and copy rules from _Value.
+    names = [m.name for m in pkgutil.iter_modules(wiretap_exponents.__path__)]
+    modules = [importlib.import_module(f"wiretap_exponents.{name}") for name in names]
+    types = {
+        cls for module in modules for cls in vars(module).values()
+        if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+    }
+    assert len(types) == len(CASES) == 17
+    for cls in types:
+        assert issubclass(cls, _Value) and cls.__name__ in CASES
+        assert "__post_init__" not in vars(cls) and "__reduce__" not in vars(cls)
 
 
 def test_curve_meta_does_not_alias_the_callers_dict():
@@ -207,6 +269,7 @@ NUMERIC_ARGS = {
     "DiscretizedPoisson": ([[0.0, 1.0], 0.5, 1e-3], lambda *a: pw.DiscretizedPoisson(_pair(), *a)),
     "ExponentCurve": ([[0.1, 0.2], [0.6, 0.7]], ExponentCurve),
     "MoreCapableResult": ([[0.6, 0.4], 0.01], lambda q, gap: MoreCapableResult(True, q, gap)),
+    "PoissonCapacity": ([2.5, 0.4, 0.4, 1e-13], pw.PoissonCapacity),
     "parse_wiretap_config": (
         [CONFIG["bob"], CONFIG["eve"], CONFIG["costs"], CONFIG["gamma"], CONFIG["q"]],
         lambda bob, eve, costs, gamma, q: parse_wiretap_config(
