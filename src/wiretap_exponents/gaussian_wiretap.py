@@ -82,16 +82,19 @@ def _explicit_form(snr, rate):
     """Shared explicit exponent form at a positive rate, in u = exp(-2 * rate) in (0, 1).
 
     It is the form in beta = exp(2 * rate) = 1/u with beta factored out of
-    the log argument, so no term overflows at any finite rate. The log
-    argument is positive throughout the validity ranges of both users of
-    the form and is guarded anyway.
+    the log argument, so no term overflows at any finite rate. With
+    a = snr (1 - u) and root = sqrt(1 + 4 / a), the log argument
+    1 - a (root - 1) / 2 is taken as 4 / (a (root + 1)^2), its value with
+    no subtraction: at a large SNR the difference cancels to rounding
+    noise, which can be negative. It is guarded anyway.
     """
     if not rate > 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
     u = math.exp(-2.0 * rate)
-    root = math.sqrt(1.0 + 4.0 / (snr * (1.0 - u)))
+    a = snr * (1.0 - u)
+    root = math.sqrt(1.0 + 4.0 / a)
     first = 0.25 * snr * ((1.0 + u) - (1.0 - u) * root)
-    inside = 1.0 - 0.5 * snr * (1.0 - u) * (root - 1.0)
+    inside = 4.0 / (a * (root + 1.0) ** 2)
     if inside <= 0.0:
         raise RuntimeError(f"log argument {inside} not positive at snr={snr}, rate={rate}")
     return first + 0.5 * math.log(inside) + rate

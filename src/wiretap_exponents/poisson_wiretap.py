@@ -280,6 +280,9 @@ def capacity(params):
     if math.isnan(f_lo) or math.isnan(f_hi):
         # Both peak terms overflowed, with opposite signs: the parameters leave the float range.
         raise ValueError(f"gap derivative does not fit a float: f({lo})={f_lo}, f({hi})={f_hi}")
+    if f_lo == f_hi:
+        # The derivative falls strictly on (0, 1); equal ends mean rounding swamped its change in q.
+        raise ValueError(f"gap derivative does not resolve q at these magnitudes: f({lo}) = f({hi}) = {f_lo}")
     if not (f_lo > 0.0 > f_hi):
         raise RuntimeError(
             f"gap derivative lost its bracket: f({lo})={f_lo}, f({hi})={f_hi}"

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import Budget
 from wiretap_exponents import channel_core, solvers
+from wiretap_exponents import exponent_engine as engine
 from wiretap_exponents import (
     CostedInput,
     DiscreteChannel,
@@ -105,6 +106,74 @@ class TestMutualInformation:
     def test_non_finite_input_law_rejected(self, q):
         with pytest.raises(ValueError, match="finite"):
             mutual_information(q, DiscreteChannel.bsc(0.1))
+
+
+def errstate_mutual_informations(q, rows):
+    # The kernel as it was before the one-mask rewrite: the bitwise oracle.
+    marginal = (q @ rows)[..., None, :]
+    joint = q[..., :, None] * rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(joint > 0.0, rows / np.where(marginal > 0.0, marginal, 1.0), 1.0)
+        terms = np.where(joint > 0.0, joint * np.log(ratio), 0.0)
+    return np.maximum(terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1), 0.0)
+
+
+# Law masses: exact zeros, ordinary masses, and tiny ones whose joints
+# underflow (1e-160 * 1e-160 is subnormal, 1e-200 * 1e-200 is zero).
+TINY_MASSES = (1e-300, 1e-200, 1e-160)
+MASSES = st.one_of(st.just(0.0), st.sampled_from(TINY_MASSES), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def laws(draw, k, n=None):
+    """One law of k letters, or a stack of n of them, from MASSES."""
+    w = np.array(draw(st.lists(st.lists(MASSES, min_size=k, max_size=k), min_size=n or 1, max_size=n or 1)))
+    for row in w:
+        if row.sum() == 0.0:
+            row[draw(st.integers(0, k - 1))] = 1.0
+    w /= w.sum(axis=1, keepdims=True)
+    return w if n else w[0]
+
+
+@st.composite
+def kernel_cases(draw):
+    # (q, rows): one law or a stack of laws on k <= 16 letters, a k x m channel.
+    k, m = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    n = draw(st.sampled_from([None, 1, 2, 7]))
+    return draw(laws(k, n)), draw(laws(m, k))
+
+
+class TestKernelOracle:
+    @given(kernel_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_the_errstate_kernel(self, case):
+        q, rows = case
+        got = channel_core._mutual_informations(q, rows)
+        # The oracle divides the masked-out entries too, and a ratio over a
+        # tiny marginal overflows there before its where discards it.
+        with np.errstate(over="ignore"):
+            want = errstate_mutual_informations(q, rows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(kernel_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_raises_no_floating_point_error(self, case):
+        # A tiny mass underflows its joints by design (the parent's kernel
+        # does the same); every other floating-point condition must not occur.
+        q, rows = case
+        tiny = any(((a > 0.0) & (a <= max(TINY_MASSES))).any() for a in case)
+        with np.errstate(all="raise", under="ignore" if tiny else "raise"):
+            channel_core._mutual_informations(q, rows)
+
+    def test_entries_below_zero_within_tolerance(self):
+        # A validated channel may hold -1e-13; it pulls the first output's
+        # marginal below zero while that output's first joint is positive.
+        rows = DiscreteChannel([[1e-14, 1.0 - 1e-14], [-1e-13, 1.0 + 1e-13]]).rows
+        q = np.array([0.5, 0.5])
+        assert (q @ rows)[0] < 0.0 < q[0] * rows[0, 0]
+        for qs in (q, np.array([q, [0.25, 0.75]])):
+            got = channel_core._mutual_informations(qs, rows)
+            assert got.tobytes() == errstate_mutual_informations(qs, rows).tobytes()
 
 
 class TestConcatenate:
@@ -258,6 +327,74 @@ class TestMoreCapable:
         with Budget("is_more_capable on a 16-letter degraded pair", 30.0):
             result = is_more_capable(WiretapPair(DiscreteChannel(bob), DiscreteChannel(eve)))
         assert result.holds
+
+
+def one_law_gap_optimum(bob, eve, lo, hi, sign):
+    # The binary gap optimum scanned one law at a time: the bitwise oracle of the stacked scan.
+    t_star, best = solvers.scan_then_golden_max(
+        lambda t: sign * channel_core._info_gap(np.array([1.0 - t, t]), bob, eve),
+        lo,
+        hi,
+        scan_points=channel_core.BINARY_SCAN_POINTS,
+        tol=1e-12,
+    )
+    return np.array([1.0 - t_star, t_star]), sign * best
+
+
+@st.composite
+def binary_intervals(draw):
+    # The whole simplex, one point (lo == hi), or the interval a cost cap clips.
+    kind = draw(st.sampled_from(["whole", "point", "capped"]))
+    if kind == "whole":
+        return 0.0, 1.0
+    if kind == "point":
+        t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        return t, t
+    costs = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2)))
+    gamma = draw(st.floats(float(costs.min()), float(costs.max())))
+    return engine._feasible_binary_interval(costs, gamma)
+
+
+class TestBinaryGapScan:
+    # From 5 outputs on, a stacked gap can differ from its one-law value in the last bit.
+    @given(
+        bob=st.integers(1, 8).flatmap(lambda m: laws(m, 2)),
+        eve=st.integers(1, 8).flatmap(lambda m: laws(m, 2)),
+        interval=binary_intervals(),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    # Equal bob rows make the gap rounding noise around 0, which a stacked scan and a one-law scan draw
+    # differently: the first example moves the best cell, the second a bracket end that wins.
+    @example(
+        bob=np.array([[1.0, 0.0, 1e-100, 0.0]] * 2), eve=np.array([[1.0]] * 2), interval=(0.0, 1.0), sign=1.0
+    )
+    @example(
+        bob=np.array(
+            [[0.04193909236948363, 5.032971114265864e-05, 0.3106920634789839, 4.211924004797722e-06,
+              0.5511703784848276, 0.047519364635717216, 0.04862455939584013]] * 2
+        ),
+        eve=np.array([[1.0]] * 2),
+        interval=(0.0, 1.0),
+        sign=1.0,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_scan_keeps_the_one_law_bits(self, bob, eve, interval, sign):
+        lo, hi = interval
+        law, gap = channel_core._binary_gap_optimum(bob, eve, lo, hi, sign)
+        want_law, want_gap = one_law_gap_optimum(bob, eve, lo, hi, sign)
+        assert law.tobytes() == want_law.tobytes()
+        assert float(gap).hex() == float(want_gap).hex()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_nan_gap_re_scores_every_cell(self, sign):
+        # On [0, 1e-310] every grid law but the first has a subnormal mass, whose
+        # ratio overflows in both channels: those gaps are inf - inf = NaN.
+        bob, eve = np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([[1.0, 0.0], [0.9, 0.1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            law, gap = channel_core._binary_gap_optimum(bob, eve, 0.0, 1e-310, sign)
+            want_law, want_gap = one_law_gap_optimum(bob, eve, 0.0, 1e-310, sign)
+        assert math.isnan(want_gap)
+        assert law.tobytes() == want_law.tobytes() and float(gap).hex() == float(want_gap).hex()
 
 
 def three_sweeps(bob, eve):

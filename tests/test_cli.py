@@ -164,6 +164,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "rate,exponent" in out
 
+    def test_gaussian_explicit_curve_at_a_large_snr(self, tmp_path):
+        # snr_bob is 1.06e12: the explicit form's log argument once cancelled to a negative number here.
+        out = tmp_path / "curve.csv"
+        command = (
+            "gaussian reliability --Ay 172.721 --Az 0.00135165 --sy 0.0014495 --sz 2.97688e-07 --gamma 74.6664"
+            f" --variant gallager --points 7 --out {out}"
+        )
+        assert cli.main(command.split()) == 0
+        rates, exps = cli.read_curve_csv(out)
+        assert len(rates) == 7 and np.isfinite(rates).all() and np.isfinite(exps).all()
+
     @pytest.mark.parametrize(
         "action, variant, fig_id, curve",
         [
@@ -315,6 +326,19 @@ class TestExitCodes:
     def test_a_number_past_the_float_range_is_two(self, command, capsys):
         assert cli.main(command.split()) == 2
         assert "precondition violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "poisson capacity --Ay 1e-12 --Az 1e-12 --ly 0.5 --lz 1e154 --gamma 1",
+            "poisson concat --Ay 1e300 --Az 1e-300 --ly 1e308 --lz 1.5 --gamma 0.5 --q 0.38 --points 5 --a 0.98"
+            " --b 0.02",
+        ],
+    )
+    def test_a_gap_derivative_flat_to_rounding_is_two(self, command, capsys):
+        # Both bracket ends of the derivative round to the same number, so no root can be bracketed.
+        assert cli.main(command.split()) == 2
+        assert "does not resolve q" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["capacity", "exponents"])
     def test_non_finite_config_is_two(self, command, tmp_path, capsys):

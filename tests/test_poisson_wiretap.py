@@ -257,6 +257,11 @@ class TestCapacity:
         with pytest.raises(ValueError, match="does not fit a float"):
             pw.capacity(pw.PoissonWiretapParams(1e308, 5e307, 0.0, 1.0, 0.5))
 
+    def test_a_derivative_that_rounding_leaves_flat_is_rejected(self):
+        # f(1e-12) and f(1 - 1e-12) both round to 0.0: the magnitudes swamp the change in q.
+        with pytest.raises(ValueError, match="does not resolve q"):
+            pw.capacity(pw.PoissonWiretapParams(1e-12, 1e-12, 0.5, 1e154, 1.0))
+
     def test_worst_case_ratio_analytic(self):
         for s in (0.1, 0.5, 1.0, 2.0):
             p = pw.PoissonWiretapParams(12.0, 5.0, 12.0 * s, 5.0 * s, 1.0)
