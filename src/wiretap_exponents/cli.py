@@ -13,6 +13,7 @@ line: no timestamps, fixed default seeds, 17-significant-digit floats.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -401,6 +402,7 @@ SHARED_FLAGS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged, and building it costs ~2 ms
 def build_parser():
     parser = _Parser(prog="wiretap-exponents", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

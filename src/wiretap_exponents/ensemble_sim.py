@@ -36,6 +36,8 @@ MAX_DIVERGENCE_WORK = 1 << 25
 # Likelihood doubles gathered per pass (512 KB) by the blocked Monte Carlo
 # error and subcode divergence loops; see _block_rows.
 GATHER_BUDGET = 1 << 16
+# Equal buckets of [0, 1) that a codeword draw reads its index from; see _draw_codewords.
+DRAW_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +69,8 @@ class EnsembleSpec(_Value):
 
 
 def _popcounts(n):
-    # Number of ones in each n-bit block 0 .. 2^n - 1.
-    return sum((np.arange(1 << n) >> bit) & 1 for bit in range(n))
+    # Number of ones in each n-bit block 0 .. 2^n - 1, as uint8.
+    return sum((np.arange(1 << n, dtype=np.uint16) >> bit) & 1 for bit in range(n)).astype(np.uint8)
 
 
 def _powers(p, n):
@@ -86,13 +88,15 @@ def _likelihood_table(channel, n):
     exact rather than float accidents.
     """
     w = channel.rows
-    ones = _popcounts(n)
-    n11 = ones[np.bitwise_and.outer(np.arange(1 << n), np.arange(1 << n))]
+    ones, blocks = _popcounts(n), np.arange(1 << n, dtype=np.uint16)
+    n11 = ones[np.bitwise_and.outer(blocks, blocks)]  # uint8 counts; every difference below is >= 0
     n10, n01 = ones[:, None] - n11, ones - n11
-    return (
-        _powers(w[0, 0], n)[n - n11 - n10 - n01] * _powers(w[0, 1], n)[n01]
-        * _powers(w[1, 0], n)[n10] * _powers(w[1, 1], n)[n11]
-    )
+    # ((P00 P01) P10) P11, built in place.
+    table = _powers(w[0, 0], n)[n - n11 - n10 - n01]
+    table *= _powers(w[0, 1], n)[n01]
+    table *= _powers(w[1, 0], n)[n10]
+    table *= _powers(w[1, 1], n)[n11]
+    return table
 
 
 def _block_input_probs(q, n):
@@ -277,14 +281,37 @@ def holder_gap(spec, rho):
     return _psi(rho, spec.pair.eve, spec.q) - phi
 
 
+def _draw_codewords(rng, qn, shape):
+    """``rng.choice(qn.size, size=shape, p=qn)`` element for element, as uint8 (qn.size <= 2^MAX_BLOCK).
+
+    The same cdf, uniforms and index (the count of cdf entries <= u). Of
+    DRAW_BUCKETS equal buckets of [0, 1), ``first`` counts the cdf entries
+    <= a bucket's lower edge and ``last`` those below its upper edge; where
+    they agree, that is the index of every u in the bucket, and only the
+    other u are searched. Scaling by a power of two is exact.
+    """
+    cdf = qn.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(shape)
+    u *= DRAW_BUCKETS
+    cdf *= DRAW_BUCKETS
+    first = cdf.searchsorted(np.arange(DRAW_BUCKETS), side="right").astype(np.uint8)
+    last = cdf.searchsorted(np.arange(1, DRAW_BUCKETS + 1), side="left").astype(np.uint8)
+    bucket = u.astype(np.uint16)
+    idx = first[bucket]
+    step = (first != last)[bucket]
+    idx[step] = cdf.searchsorted(u[step], side="right")
+    return idx
+
+
 def _mc_draws(spec, channel, samples, seed, width):
-    """W^n of ``channel``, q^n, and samples x width codewords drawn i.i.d. from q^n; needs samples >= 2."""
+    """W^n of ``channel``, q^n, and samples x width uint8 codewords drawn i.i.d. from q^n; needs samples >= 2."""
     samples = _whole_number(samples, "samples")
     if samples < 2:
         raise ValueError(f"Monte Carlo needs at least 2 samples for a standard error, got {samples}")
     lk = _likelihood_table(channel, spec.n)
     qn = _block_input_probs(spec.q, spec.n)
-    return lk, qn, np.random.default_rng(seed).choice(1 << spec.n, size=(samples, width), p=qn)
+    return lk, qn, _draw_codewords(np.random.default_rng(seed), qn, (samples, width))
 
 
 def _output_totals(lost):
@@ -303,23 +330,25 @@ def mc_ensemble_error(spec, samples=100_000, seed=0):
     Codebooks are sampled; the error probability of each sampled codebook
     is then computed exactly over outputs, as (1/ML) sum_y (sum_c W^n(y|c)
     - max_c W^n(y|c)), so the only noise is across codebooks. Codebooks
-    are handled in blocks of rows within the gather budget. Needs at
-    least 2 samples.
+    are handled in blocks of rows within the gather budget, each gathered
+    once and summed in place in numpy's row-sum order, so the estimate is
+    bit for bit the per-output loop. Needs at least 2 samples.
     """
     ml = spec.M * spec.L
     lk, _, idx = _mc_draws(spec, spec.pair.bob, samples, seed, ml)
     err = np.empty(len(idx))
     step = _block_rows(ml, lk.shape[1])
     for start in range(0, len(idx), step):
-        rows = slice(start, start + step)
-        g = lk[idx[rows].T]  # (ML, rows, 2^n): codeword c of each sampled codebook
-        # The sent mass in numpy's row-sum order: sequential below 8 terms,
-        # its pairwise tree at 8 (MAX_CODEBOOK).
-        if ml == 8:
-            sent = ((g[0] + g[1]) + (g[2] + g[3])) + ((g[4] + g[5]) + (g[6] + g[7]))
-        else:
-            sent = g.sum(axis=0)
-        err[rows] = _output_totals((sent - g.max(axis=0)) / ml)
+        g = np.take(lk, idx[start:start + step].T, axis=0)  # (ML, rows, 2^n): codeword c of each codebook
+        best = g.max(axis=0)
+        # The sent mass, summed in place into g[0] in numpy's row-sum order:
+        # sequential below 8 terms, its pairwise tree at 8 (MAX_CODEBOOK).
+        tree = ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4))
+        for a, b in tree if ml == 8 else ((0, j) for j in range(1, ml)):
+            g[a] += g[b]
+        g[0] -= best
+        g[0] /= ml
+        err[start:start + step] = _output_totals(g[0])
     return float(err.mean()), float(err.std(ddof=1) / math.sqrt(len(err)))
 
 

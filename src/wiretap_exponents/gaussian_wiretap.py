@@ -86,14 +86,16 @@ def _explicit_form(snr, rate):
     a = snr (1 - u) and root = sqrt(1 + 4 / a), the log argument
     1 - a (root - 1) / 2 is taken as 4 / (a (root + 1)^2), its value with
     no subtraction: at a large SNR the difference cancels to rounding
-    noise, which can be negative. It is guarded anyway.
+    noise, which can be negative. It is guarded anyway. The first term
+    snr ((1 + u) - (1 - u) root) / 4 cancels the same way and is taken as
+    snr u / 2 - 1 / (root + 1), since a (root - 1) = 4 / (root + 1).
     """
     if not rate > 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
     u = math.exp(-2.0 * rate)
     a = snr * (1.0 - u)
     root = math.sqrt(1.0 + 4.0 / a)
-    first = 0.25 * snr * ((1.0 + u) - (1.0 - u) * root)
+    first = 0.5 * snr * u - 1.0 / (root + 1.0)
     inside = 4.0 / (a * (root + 1.0) ** 2)
     if inside <= 0.0:
         raise RuntimeError(f"log argument {inside} not positive at snr={snr}, rate={rate}")

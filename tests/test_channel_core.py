@@ -135,6 +135,22 @@ def laws(draw, k, n=None):
     return w if n else w[0]
 
 
+# Least positive joint whose term joint * log(ratio) cannot underflow:
+# |log(ratio)| >= 2^-53 wherever the ratio is not exactly 1.
+TINY_JOINT = np.finfo(float).tiny / np.finfo(float).epsneg
+# Row normalisation lifts a 1e-160 mass to 2e-160, and two of them make a
+# joint of 4e-320. A joint of 1.7e-300 is normal, but the marginal sums to
+# 1 - 2^-53, so its term is 1.7e-300 * 1.1e-16.
+UNDERFLOWING_JOINT = (
+    np.array([[0.5, 0.5, 0.0]] * 6 + [[0.0, 2e-160, 1.0]]),
+    np.array([[0.0, 1.0], [2e-160, 1.0], [1.0, 0.0]]),
+)
+UNDERFLOWING_TERM = (
+    np.array([0.16666666666666666, 0.3333333333333333, 0.4999999999999999, 1.6666666666666665e-300]),
+    np.ones((4, 1)),
+)
+
+
 @st.composite
 def kernel_cases(draw):
     # (q, rows): one law or a stack of laws on k <= 16 letters, a k x m channel.
@@ -156,14 +172,24 @@ class TestKernelOracle:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @given(kernel_cases())
+    @example(UNDERFLOWING_JOINT)
+    @example(UNDERFLOWING_TERM)
     @settings(max_examples=100, deadline=None)
     def test_raises_no_floating_point_error(self, case):
-        # A tiny mass underflows its joints by design (the parent's kernel
-        # does the same); every other floating-point condition must not occur.
+        # A joint q(x) W(y|x) below TINY_JOINT underflows, or its term
+        # joint * log(ratio) does, by design (the parent's kernel does the
+        # same); every other floating-point condition must not occur.
         q, rows = case
-        tiny = any(((a > 0.0) & (a <= max(TINY_MASSES))).any() for a in case)
+        with np.errstate(under="ignore"):
+            joint = q[..., :, None] * rows
+        tiny = ((q[..., :, None] > 0.0) & (rows > 0.0) & (joint < TINY_JOINT)).any()
         with np.errstate(all="raise", under="ignore" if tiny else "raise"):
             channel_core._mutual_informations(q, rows)
+
+    @pytest.mark.parametrize("case", [UNDERFLOWING_JOINT, UNDERFLOWING_TERM])
+    def test_the_tiny_examples_do_underflow(self, case):
+        with pytest.raises(FloatingPointError, match="underflow"), np.errstate(all="raise"):
+            channel_core._mutual_informations(*case)
 
     def test_entries_below_zero_within_tolerance(self):
         # A validated channel may hold -1e-13; it pulls the first output's

@@ -116,6 +116,17 @@ class TestCommands:
         assert payload["more_capable"] is True
         assert payload["value_nats"] > 0.2
 
+    def test_parser_is_built_once_and_survives_a_usage_error(self, config_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        fresh = run_cli(["capacity", "--config", config_path])
+        assert fresh.returncode == cli.EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["capacity", "--config", config_path, "--aux-dim", "two"])
+        assert exc.value.code == cli.EXIT_USAGE
+        capsys.readouterr()
+        assert cli.main(["capacity", "--config", config_path]) == cli.EXIT_OK
+        assert capsys.readouterr().out == fresh.stdout
+
     def test_exponents_to_files(self, config_path, tmp_path):
         out = tmp_path / "curves.csv"
         code = cli.main(

@@ -241,6 +241,62 @@ class TestBruteForceOracles:
             assert table[c, y] == pytest.approx(block_law(rows, n, c)[y], rel=1e-14)
 
 
+def _intp_likelihood_table(channel, n):
+    # The table as it was before the uint8 counts and the in-place product: the bitwise oracle.
+    w = channel.rows
+    ones = sum((np.arange(1 << n) >> bit) & 1 for bit in range(n))
+    n11 = ones[np.bitwise_and.outer(np.arange(1 << n), np.arange(1 << n))]
+    n10, n01 = ones[:, None] - n11, ones - n11
+    return (
+        es._powers(w[0, 0], n)[n - n11 - n10 - n01] * es._powers(w[0, 1], n)[n01]
+        * es._powers(w[1, 0], n)[n10] * es._powers(w[1, 1], n)[n11]
+    )
+
+
+class TestDrawsAndTableMatchTheOracles:
+    @pytest.mark.parametrize("n", range(1, 9))
+    # q1 = 0.5 puts every cdf step exactly on a bucket edge; 0 and 1 leave one codeword.
+    @pytest.mark.parametrize("q1", [0.0, 1e-9, 0.15, 0.5, 0.85, 1.0])
+    def test_draws_are_generator_choice_element_for_element(self, n, q1):
+        qn = es._block_input_probs(np.array([1.0 - q1, q1]), n)
+        for shape in ((2, 1), (1001, 3), (20000, 8)):
+            for seed in (0, 1, 7919):
+                got = es._draw_codewords(np.random.default_rng(seed), qn, shape)
+                want = np.random.default_rng(seed).choice(1 << n, size=shape, p=qn)
+                assert got.dtype == np.uint8 and got.shape == shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("q1", [1e-9, 0.15, 0.5, 0.85])
+    def test_draws_at_uniforms_on_and_beside_every_step_and_edge(self, n, q1):
+        # Uniforms a seeded generator almost never yields: each cdf value and
+        # bucket edge and their float neighbours, searched as Generator.choice does.
+        qn = es._block_input_probs(np.array([1.0 - q1, q1]), n)
+        cdf = qn.cumsum()
+        cdf /= cdf[-1]
+        points = np.concatenate([cdf[:-1], np.arange(es.DRAW_BUCKETS) / es.DRAW_BUCKETS])
+        u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+
+        class Uniforms:
+            def random(self, shape):
+                return u.reshape(shape).copy()
+
+        got = es._draw_codewords(Uniforms(), qn, u.shape)
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_likelihood_table_is_the_intp_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        channels = [DiscreteChannel([[1.0, 0.0], [0.3, 0.7]])]
+        for _ in range(4):
+            e = rng.random(2)
+            channels.append(DiscreteChannel([[1.0 - e[0], e[0]], [e[1], 1.0 - e[1]]]))
+        for channel in channels:
+            got = es._likelihood_table(channel, n)
+            want = _intp_likelihood_table(channel, n)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestBounds:
     def test_error_bound_holds_on_sweep(self):
         for n in (2, 3, 4):

@@ -114,6 +114,21 @@ class TestReliabilityForms:
         for rate in (0.2, 0.4):
             assert gw.reliability_gallager(p, rate) > gw.reliability_forward_tilt(p, rate)
 
+    @pytest.mark.parametrize("rate", [1.0, 6.92, 10.0, 13.0, 13.57, 13.83])
+    def test_explicit_form_at_a_large_snr_matches_60_digits(self, rate):
+        # snr_bob = 1.06e12, where snr ((1 + u) - (1 - u) root) / 4 cancels
+        # to an absolute error near snr * 1e-16 however small the value.
+        mpmath = pytest.importorskip("mpmath")
+        snr = gw.GaussianWiretapParams(172.721, 0.00135165, 0.0014495, 2.97688e-07, 74.6664).snr_bob
+        with mpmath.workdps(60):
+            s, r = mpmath.mpf(snr), mpmath.mpf(rate)
+            u = mpmath.exp(-2 * r)
+            a = s * (1 - u)
+            root = mpmath.sqrt(1 + 4 / a)
+            ref = float(s * ((1 + u) - (1 - u) * root) / 4 + mpmath.log(1 - a * (root - 1) / 2) / 2 + r)
+        got = gw._explicit_form(snr, rate)
+        assert abs(got - ref) <= 1e-12 + 1e-14 * abs(ref)
+
     def test_rate_range_enforced(self):
         p = fig_params()
         cap = 0.5 * math.log1p(p.snr_bob)
