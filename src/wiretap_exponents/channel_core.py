@@ -33,6 +33,7 @@ STACK_DRIFT = 1e-12
 SIMPLEX_RESOLUTION = 24
 SIMPLEX_BUDGET = 150_000
 SIMPLEX_BLOCK = 256
+_TINY = np.finfo(np.float64).tiny
 
 
 def _frozen_array(values, name="array"):
@@ -211,14 +212,19 @@ class WiretapPair(_Value):
 def _mutual_informations(q, rows):
     """I(q, W) in nats for one law (shape (k,)) or a stack of laws (shape (n, k)); unvalidated.
 
+    One law may also take a stack of channels (shape (c, k, m)), each
+    scored with the bits of its own call.
+
     A term counts only where its joint mass q(x) W(y|x) is positive. There
-    the ratio W(y|x) / qW(y) is finite and positive: the output marginal is
-    at least the joint, unless an entry below zero (within PROB_TOL) pulls
-    it to zero or below, and then W(y|x) is divided by 1 instead. Every
-    other ratio is set to 1, whose term is +0.0. No division by zero and no
-    log of zero or of a negative number happens, so no floating-point state
-    needs silencing. The terms are summed in row-major order, the order the
-    values of this package were recorded with.
+    the ratio W(y|x) / qW(y) is positive: the output marginal is at least
+    the joint, unless an entry below zero (within PROB_TOL) pulls it to
+    zero or below, and then W(y|x) is divided by 1 instead. A ratio that
+    would overflow (a subnormal marginal) takes the term as joint * (log W
+    - log qW). Every other ratio is set to 1, whose term is +0.0. No
+    division by zero, overflow or log of zero or of a negative number
+    happens, so no floating-point state needs silencing. The terms are
+    summed in row-major order, the order the values of this package were
+    recorded with.
 
     numpy multiplies one law and a stack through different BLAS routines,
     so a law's value in a stack can differ from its own in the last bit.
@@ -226,9 +232,17 @@ def _mutual_informations(q, rows):
     joint = q[..., :, None] * rows
     mask = joint > 0.0
     marginal = (q @ rows)[..., None, :]
-    ratio = rows / np.where(mask & (marginal > 0.0), marginal, 1.0)
+    denominator = np.where(mask & (marginal > 0.0), marginal, 1.0)
+    # W / d rounds to inf exactly when W >= d 2^1024 (compared scaled), so only for a subnormal d.
+    over = rows * 2.0**-60 >= denominator * 2.0**964 if denominator.min() < _TINY else None
+    if over is not None:
+        tiny_marginals = denominator[over]
+        denominator[over] = 1.0
+    ratio = rows / denominator
     ratio[~mask] = 1.0
     np.log(ratio, out=ratio)
+    if over is not None:
+        ratio[over] -= np.log(tiny_marginals)
     ratio *= joint
     return np.maximum(ratio.reshape(ratio.shape[:-2] + (-1,)).sum(axis=-1), 0.0)
 
@@ -239,7 +253,7 @@ def _divergences(rows, ref):
     positive = rows > 0.0
     terms = np.where(positive, rows, 1.0)
     np.log(terms, out=terms)
-    terms -= np.log(np.maximum(ref, np.finfo(np.float64).tiny))
+    terms -= np.log(np.maximum(ref, _TINY))
     terms *= rows
     terms[~positive] = 0.0
     return terms.sum(axis=-1)
@@ -289,7 +303,15 @@ class MoreCapableResult(_Value):
 
 
 def _info_gap(q, bob_rows, eve_rows):
-    """I(q, W_bob) - I(q, W_eve) for one law or a stack of laws; unvalidated."""
+    """I(q, W_bob) - I(q, W_eve) for one law or a stack of laws; unvalidated.
+
+    One law is one kernel call on the stacked channels when their output
+    alphabets match. A stack of laws takes a call per channel: broadcast
+    against stacked channels, it goes through another product routine.
+    """
+    if q.ndim == 1 and bob_rows.shape == eve_rows.shape:
+        info = _mutual_informations(q, np.array((bob_rows, eve_rows)))
+        return info[0] - info[1]
     return _mutual_informations(q, bob_rows) - _mutual_informations(q, eve_rows)
 
 

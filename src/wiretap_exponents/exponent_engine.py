@@ -61,6 +61,8 @@ GRADIENT_STARTS = 8
 GRADIENT_ITERS = 300
 AUX_STARTS = 6
 AUX_ITERS = 250
+# Largest lam and lam * cost that _project_feasible forms.
+LAM_COST_MAX = 1e300
 
 
 def _bits(a):
@@ -703,15 +705,25 @@ def _project_feasible(v, costs, gamma):
 
     It is the simplex projection of v - lam * costs for the least lam >= 0
     meeting the cap (KKT); the cost falls as lam grows, so lam is bisected
-    on [0, hi], past which only the cheapest letters keep mass.
+    on [0, hi], past which only the cheapest letters keep mass. If lam
+    stops short at LAM_COST_MAX still over the cap, the law is that limit.
     """
     q = _project_simplex(v)
     spread = costs - costs.min()
     if q @ costs <= gamma or not (spread > 0.0).any():
         return q
-    hi = (v.max() - v.min() + 1.0) / spread[spread > 0.0].min()
+    # Python floats: a quotient past the float range is inf, not a warning.
+    hi = float(v.max() - v.min() + 1.0) / float(spread[spread > 0.0].min())
+    bound = LAM_COST_MAX / max(float(costs.max()), 1.0)
+    capped = hi > bound
+    hi = min(hi, bound)
     lam = bisect_boundary(lambda lam: _project_simplex(v - lam * costs) @ costs <= gamma, 0.0, hi, tol=1e-15 * hi)
-    return _project_simplex(v - lam * costs)
+    q = _project_simplex(v - lam * costs)
+    if capped and q @ costs > gamma:
+        cheapest = costs == costs.min()
+        q = np.zeros_like(v)
+        q[cheapest] = _project_simplex(v[cheapest])
+    return q
 
 
 def _gap_gradient(q, bob, eve):
@@ -720,7 +732,11 @@ def _gap_gradient(q, bob, eve):
     A zero output marginal has its log floored at the smallest normal
     float, so the gradient stays finite on the simplex boundary.
     """
-    return _divergences(bob, q @ bob) - _divergences(eve, q @ eve)
+    if bob.shape != eve.shape:
+        return _divergences(bob, q @ bob) - _divergences(eve, q @ eve)
+    stacked = np.array((bob, eve))
+    d = _divergences(stacked, (q @ stacked)[:, None, :])
+    return d[0] - d[1]
 
 
 def _best_input_gradient(pair, costs, gamma, seed):
@@ -758,6 +774,8 @@ def _aux_search(pair, costs, gamma, aux_dim, seed):
     """
     k = pair.num_inputs
     rng = np.random.default_rng(seed)
+    bob, eve = pair.bob.rows, pair.eve.rows
+    stacked = np.array((bob, eve)) if bob.shape == eve.shape else None
 
     def decode(theta):
         qv = np.exp(theta[:aux_dim] - theta[:aux_dim].max())
@@ -771,7 +789,7 @@ def _aux_search(pair, costs, gamma, aux_dim, seed):
         qv, rows = decode(theta)
         if float(qv @ rows @ costs) > gamma + 1e-12:
             return -math.inf
-        return _info_gap(qv, rows @ pair.bob.rows, rows @ pair.eve.rows)
+        return _info_gap(qv, *(rows @ stacked if stacked is not None else (rows @ bob, rows @ eve)))
 
     dim = aux_dim + aux_dim * k
     best = (-math.inf, None, None)

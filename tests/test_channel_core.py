@@ -202,6 +202,91 @@ class TestKernelOracle:
             assert got.tobytes() == errstate_mutual_informations(qs, rows).tobytes()
 
 
+@st.composite
+def gap_cases(draw):
+    # (q, bob, eve): one law or a stack of laws on k <= 16 letters, and two
+    # k-input channels with the same or different output alphabets.
+    k, m_bob = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    m_eve = draw(st.just(m_bob) | st.integers(1, 16))
+    n = draw(st.sampled_from([None, None, 1, 2, 7]))
+    return draw(laws(k, n)), draw(laws(m_bob, k)), draw(laws(m_eve, k))
+
+
+def mpmath_information(q, rows):
+    # I(q, W) of the float inputs as given, in 60 significant digits.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        q = [mpmath.mpf(float(x)) for x in q]
+        rows = [[mpmath.mpf(float(w)) for w in row] for row in rows]
+        marginal = [sum(qx * row[y] for qx, row in zip(q, rows)) for y in range(len(rows[0]))]
+        return sum(
+            qx * w * mpmath.log(w / marginal[y]) for qx, row in zip(q, rows) for y, w in enumerate(row) if qx * w > 0
+        )
+
+
+class TestStackedGap:
+    @given(gap_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_gap_is_two_errstate_kernels_bit_for_bit(self, case):
+        q, bob, eve = case
+        got = channel_core._info_gap(q, bob, eve)
+        with np.errstate(over="ignore"):
+            want = errstate_mutual_informations(q, bob) - errstate_mutual_informations(q, eve)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, m_eve, calls", [(None, 3, 1), (None, 2, 2), (4, 3, 2), (4, 2, 2)])
+    def test_one_kernel_call_per_single_law_gap(self, n, m_eve, calls, monkeypatch):
+        # The stacked call serves one law against channels with the same outputs only.
+        seen = []
+        kernel = channel_core._mutual_informations
+
+        def counted(q, rows):
+            seen.append(rows.shape)
+            return kernel(q, rows)
+
+        monkeypatch.setattr(channel_core, "_mutual_informations", counted)
+        rng = np.random.default_rng(1)
+        q = rng.dirichlet(np.ones(3), size=n)
+        channel_core._info_gap(q, rng.dirichlet(np.ones(3), size=3), rng.dirichlet(np.ones(m_eve), size=3))
+        assert len(seen) == calls and (calls == 2 or seen == [(2, 3, 3)])
+
+
+# A subnormal mass t on a letter whose outputs no other letter reaches: the
+# ratio W / (t W) = 1 / t overflows for t <= 2^-1024.
+SUBNORMAL_CHANNELS = [
+    [[1.0, 0.0], [0.5, 0.5]],  # the capacity command's bob: its first marginal (1 - t) + t/2 rounds to 1
+    [[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]],
+    [[0.2, 0.8, 0.0, 0.0], [0.0, 0.0, 0.25, 0.75]],
+]
+
+
+class TestSubnormalMass:
+    @pytest.mark.parametrize("rows", SUBNORMAL_CHANNELS)
+    def test_matches_60_digits(self, rows):
+        q, rows = np.array([1.0 - 1e-310, 1e-310]), np.array(rows)
+        with np.errstate(all="raise", under="ignore"):
+            got = float(channel_core._mutual_informations(q, rows))
+        want = mpmath_information(q, rows)
+        assert abs(got - want) <= 1e-13 * want
+        with np.errstate(over="ignore"):
+            assert errstate_mutual_informations(q, rows) == math.inf
+
+    @pytest.mark.parametrize(
+        "t", [2.0**-1024, float(np.nextafter(2.0**-1024, 1.0)), 5e-324, 3e-320, 1e-310, np.finfo(float).tiny]
+    )
+    def test_only_overflowing_ratios_change(self, t):
+        # 1 / t overflows exactly for t <= 2^-1024: there the term is t (log 1 - log t);
+        # every other case keeps the bits of the kernel that divides.
+        q, rows = np.array([1.0, t]), np.eye(2)
+        got = channel_core._mutual_informations(q, rows)
+        with np.errstate(over="ignore"):
+            want = errstate_mutual_informations(q, rows)
+        if t <= 2.0**-1024:
+            assert want == math.inf and got == t * -np.log(t)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
 class TestConcatenate:
     def test_identity_prefix_is_noop(self):
         ch = DiscreteChannel.bsc(0.1)
@@ -413,12 +498,10 @@ class TestBinaryGapScan:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_a_nan_gap_re_scores_every_cell(self, sign):
-        # On [0, 1e-310] every grid law but the first has a subnormal mass, whose
-        # ratio overflows in both channels: those gaps are inf - inf = NaN.
-        bob, eve = np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([[1.0, 0.0], [0.9, 0.1]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            law, gap = channel_core._binary_gap_optimum(bob, eve, 0.0, 1e-310, sign)
-            want_law, want_gap = one_law_gap_optimum(bob, eve, 0.0, 1e-310, sign)
+        # A NaN channel entry makes a NaN joint at every grid law, and its term is NaN.
+        bob, eve = np.array([[1.0, 0.0], [math.nan, 0.5]]), np.array([[1.0, 0.0], [0.9, 0.1]])
+        law, gap = channel_core._binary_gap_optimum(bob, eve, 0.0, 1.0, sign)
+        want_law, want_gap = one_law_gap_optimum(bob, eve, 0.0, 1.0, sign)
         assert math.isnan(want_gap)
         assert law.tobytes() == want_law.tobytes() and float(gap).hex() == float(want_gap).hex()
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +256,16 @@ class TestCommands:
         assert payload["value_nats"] == 0.0 and payload["heuristic_lower_bound"] is True
         assert payload["aux_channel"] == [[1.0, 0.0], [1.0, 0.0]]
 
+    def test_capacity_under_a_subnormal_cap(self, tmp_path, capsys):
+        # Every feasible law holds a subnormal mass, whose ratio W / qW once overflowed in both
+        # channels: the gap was inf - inf and the command exited 2 with a non-finite value.
+        doc = {"bob": [[1, 0], [0.5, 0.5]], "eve": [[1, 0], [0.9, 0.1]], "costs": [0, 1], "gamma": 1e-310}
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["capacity", "--config", str(path)]) == cli.EXIT_OK
+        value = json.loads(capsys.readouterr().out)["value_nats"]
+        assert math.isfinite(value) and 0.0 <= value < 1e-300
+
     # figure -> (mechanism, sweep, side kept, its sweep checks in the manifest)
     SWEEP_FIGURES = {
         3: ("rate_exchange", [0.05], "", {"exchange+0.05/reliability_invariant",
@@ -441,3 +452,16 @@ class TestExitCodes:
         path.write_text(json.dumps({**CONFIG, "zzz": 1}))
         proc = run_cli(["capacity", "--config", str(path)])
         assert proc.returncode == 2
+
+
+CAPACITY_PINS = json.loads((Path(__file__).with_name("capacity_pins.json")).read_text(encoding="utf-8"))["cases"]
+
+
+@pytest.mark.parametrize("case", CAPACITY_PINS, ids=[case["id"] for case in CAPACITY_PINS])
+def test_capacity_output_is_pinned_byte_for_byte(case, tmp_path, capsys):
+    # The benchmark's capacity configs and pairs with unequal output alphabets, each
+    # against the stdout recorded before the information gap was stacked into one call.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(case["config"]))
+    assert cli.main(["capacity", "--config", str(path), "--aux-dim", str(case["aux_dim"])]) == cli.EXIT_OK
+    assert capsys.readouterr().out == case["stdout"]
