@@ -305,9 +305,9 @@ class MoreCapableResult(_Value):
 def _info_gap(q, bob_rows, eve_rows):
     """I(q, W_bob) - I(q, W_eve) for one law or a stack of laws; unvalidated.
 
-    One law is one kernel call on the stacked channels when their output
-    alphabets match. A stack of laws takes a call per channel: broadcast
-    against stacked channels, it goes through another product routine.
+    One law is one kernel call on the stacked channels, with the bits of
+    two, when their output alphabets match. A stack of laws, whose arrays
+    outweigh a call's overhead, takes a call per channel.
     """
     if q.ndim == 1 and bob_rows.shape == eve_rows.shape:
         info = _mutual_informations(q, np.array((bob_rows, eve_rows)))
