@@ -234,14 +234,14 @@ def _mutual_informations(q, rows):
     marginal = (q @ rows)[..., None, :]
     denominator = np.where(mask & (marginal > 0.0), marginal, 1.0)
     # W / d rounds to inf exactly when W >= d 2^1024 (compared scaled), so only for a subnormal d.
-    over = rows * 2.0**-60 >= denominator * 2.0**964 if denominator.min() < _TINY else None
-    if over is not None:
+    if subnormal := denominator.min() < _TINY:
+        over = rows * 2.0**-60 >= denominator * 2.0**964
         tiny_marginals = denominator[over]
         denominator[over] = 1.0
     ratio = rows / denominator
     ratio[~mask] = 1.0
     np.log(ratio, out=ratio)
-    if over is not None:
+    if subnormal:
         ratio[over] -= np.log(tiny_marginals)
     ratio *= joint
     return np.maximum(ratio.reshape(ratio.shape[:-2] + (-1,)).sum(axis=-1), 0.0)

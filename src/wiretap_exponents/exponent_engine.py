@@ -732,11 +732,7 @@ def _gap_gradient(q, bob, eve):
     A zero output marginal has its log floored at the smallest normal
     float, so the gradient stays finite on the simplex boundary.
     """
-    if bob.shape != eve.shape:
-        return _divergences(bob, q @ bob) - _divergences(eve, q @ eve)
-    stacked = np.array((bob, eve))
-    d = _divergences(stacked, (q @ stacked)[:, None, :])
-    return d[0] - d[1]
+    return _divergences(bob, q @ bob) - _divergences(eve, q @ eve)
 
 
 def _best_input_gradient(pair, costs, gamma, seed):
@@ -774,8 +770,6 @@ def _aux_search(pair, costs, gamma, aux_dim, seed):
     """
     k = pair.num_inputs
     rng = np.random.default_rng(seed)
-    bob, eve = pair.bob.rows, pair.eve.rows
-    stacked = np.array((bob, eve)) if bob.shape == eve.shape else None
 
     def decode(theta):
         qv = np.exp(theta[:aux_dim] - theta[:aux_dim].max())
@@ -789,7 +783,7 @@ def _aux_search(pair, costs, gamma, aux_dim, seed):
         qv, rows = decode(theta)
         if float(qv @ rows @ costs) > gamma + 1e-12:
             return -math.inf
-        return _info_gap(qv, *(rows @ stacked if stacked is not None else (rows @ bob, rows @ eve)))
+        return _info_gap(qv, rows @ pair.bob.rows, rows @ pair.eve.rows)
 
     dim = aux_dim + aux_dim * k
     best = (-math.inf, None, None)

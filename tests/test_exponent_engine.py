@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_channel_core import laws
 from wiretap_exponents import (
     DiscreteChannel,
     ExponentCurve,
@@ -32,7 +31,7 @@ from wiretap_exponents import (
 )
 from wiretap_exponents import exponent_engine as engine
 from wiretap_exponents import figures
-from wiretap_exponents.channel_core import _divergences, lifted_cost
+from wiretap_exponents.channel_core import lifted_cost
 from wiretap_exponents.exponent_engine import (
     RHO_EPS,
     ExponentOptimum,
@@ -466,25 +465,6 @@ class TestSecrecyCapacity:
             bob, eve = (rng.dirichlet(np.ones(m), size=k) * (rng.random((k, m)) < 0.7) for _ in range(2))
             q = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
             assert np.array_equal(engine._gap_gradient(q, bob, eve), written_out(q, bob, eve))
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_gap_gradient_is_two_divergence_calls_bit_for_bit(self, data):
-        # Stacked when the output alphabets match, two calls otherwise: the same bits either way.
-        k, m_bob = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 16))
-        m_eve = data.draw(st.just(m_bob) | st.integers(1, 16))
-        q, bob, eve = data.draw(laws(k)), data.draw(laws(m_bob, k)), data.draw(laws(m_eve, k))
-        want = _divergences(bob, q @ bob) - _divergences(eve, q @ eve)
-        assert engine._gap_gradient(q, bob, eve).tobytes() == want.tobytes()
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_stacked_effective_channels_are_the_two_products(self, data):
-        # The auxiliary search forms both effective channels V -> Y and V -> Z in one product.
-        aux_dim, k, m = (data.draw(st.integers(1, 16)) for _ in range(3))
-        rows, bob, eve = data.draw(laws(k, aux_dim)), data.draw(laws(m, k)), data.draw(laws(m, k))
-        stacked = rows @ np.array((bob, eve))
-        assert stacked[0].tobytes() == (rows @ bob).tobytes() and stacked[1].tobytes() == (rows @ eve).tobytes()
 
     @pytest.mark.parametrize(
         "costs, gamma",
