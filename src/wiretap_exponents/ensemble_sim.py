@@ -9,9 +9,11 @@ bounds evaluated by ``error_bound`` and ``divergence_bounds``.
 
 W^n and q^n are products of per-letter terms, so every averaged quantity
 is unchanged when the n letters of every codeword and of the output are
-permuted together (the method of types). A subcode's divergence is
-therefore evaluated once per joint type, the multiset of its n column
-patterns, and an output's share of the error once per output weight.
+permuted together (the method of types), and a subcode's divergence also
+when its codewords are. Its expectation is therefore a sum over the
+multisets of its codewords or of its n column patterns, whichever are
+fewer; a divergence is evaluated once per joint type up to codeword
+order, and an output's share of the error once per output weight.
 
 Decoding ties are broken toward the lower codeword index, which keeps
 the enumeration deterministic; any fixed tie rule keeps the bounds
@@ -153,21 +155,26 @@ def _block_rows(width, outputs):
     return GATHER_BUDGET // (width * outputs)
 
 
+def _letter_patterns(idx, n):
+    """The bit transposition of each row of ``idx`` (at most 8 entries of n bits), as (8, rows) uint8.
+
+    Row k < n is the pattern sum_j (bit k of idx[:, j]) << j of letter k; rows n.. are zero.
+    """
+    entries, letters = idx.astype(np.uint8, copy=False), np.arange(n, dtype=np.uint8)[:, None]
+    patterns = np.zeros((8, len(idx)), dtype=np.uint8)
+    for j in range(idx.shape[1]):
+        patterns[:n] |= ((entries[:, j] >> letters) & 1) << j
+    return patterns
+
+
 def _type_codes(idx, n):
     """One uint64 per row of ``idx`` (codewords of n bits, at most 8 per row): its joint type.
 
-    Letter k of a row has the column pattern sum_j (bit k of idx[i, j]) << j,
-    one byte. The n patterns of each row are sorted and packed into one
-    uint64. Equal codes mean one row is a coordinate permutation of the
-    other, applied to every codeword at once, so the two subcodes have
-    the same divergence.
+    The row's n letter patterns (see _letter_patterns), sorted and packed.
+    Equal codes mean one row is a coordinate permutation of the other,
+    applied to every codeword at once: the same divergence.
     """
-    codewords = idx.astype(np.uint8, copy=False)
-    letters = np.arange(n, dtype=np.uint8)[:, None]
-    # patterns[k]: letter k of every row; 8 bytes a row, as many as one int64 codeword index.
-    patterns = np.zeros((8, len(idx)), dtype=np.uint8)
-    for j in range(idx.shape[1]):
-        patterns[:n] |= ((codewords[:, j] >> letters) & 1) << j
+    patterns = _letter_patterns(idx, n)
     # Odd-even transposition sort: n rounds of compare-exchange of neighbouring letters.
     for rnd in range(n):
         for k in range(rnd % 2, n - 1, 2):
@@ -178,7 +185,8 @@ def _type_codes(idx, n):
 
 
 def _type_divergences(lk, target, idx, n):
-    """_subcode_divergences of every row of ``idx``, evaluated once per joint type (its first row)."""
+    """_subcode_divergences of every row of ``idx``, evaluated once per type code (its first row)."""
+    idx = np.sort(idx, axis=1)  # so rows equal up to codeword order as well as letter order share a code
     _, first, inverse = np.unique(_type_codes(idx, n), return_index=True, return_inverse=True)
     return _subcode_divergences(lk, target, idx[first])[inverse]
 
@@ -186,7 +194,7 @@ def _type_divergences(lk, target, idx, n):
 def _subcode_divergences(lk, target, idx):
     """D(mean of lk[idx[i]] || target) for each row i, in blocks of rows within the gather budget.
 
-    ``idx`` holds codewords of positive input mass only, so the target is positive wherever a mixture is.
+    ``idx`` holds codewords whose letters have positive mass, so the target is positive wherever a mixture is.
     """
     divs = np.empty(len(idx))
     step = _block_rows(idx.shape[1], lk.shape[1])
@@ -200,30 +208,35 @@ def exact_ensemble_divergence(spec):
     """Expected divergence of one subcode's output law from the target.
 
     The target is the tapped channel's output under the i.i.d. input
-    law. Subcodes are exchangeable, so only the first is enumerated:
-    every multiset of L codewords, weighted by its multinomial
-    probability, contributes D(mixture || target), summed in
-    enumeration order. The divergence is evaluated once per joint type
-    of the enumerated rows (see _type_codes), at most C(n + 2^L - 1, n).
+    law. Subcodes are exchangeable, so only the first is enumerated: its
+    L x n matrix of i.i.d. bits, whose divergence is unchanged when its
+    rows or its columns are permuted, along the side with fewer multisets
+    (n columns of law q^L where C(2^L + n - 1, n) < C(2^n + L - 1, L),
+    else L codewords of law q^n). Each multiset, weighted by its
+    multinomial probability, contributes D(mixture || target); math.fsum
+    adds them. See _type_divergences for the rows evaluated.
     """
     n, L = spec.n, spec.L
     if _divergence_work(n, L) > MAX_DIVERGENCE_WORK:
         raise ValueError(f"divergence enumeration too large for n={n}, L={L}")
-    lk = _likelihood_table(spec.pair.eve, n)
-    qn = _block_input_probs(spec.q, n)
-    support = np.flatnonzero(qn > 0.0).tolist()
-    multisets = itertools.chain.from_iterable(itertools.combinations_with_replacement(support, L))
-    idx = np.fromiter(multisets, dtype=np.uint8).reshape(-1, L)
-    # Multinomial weights L! prod q(c) / prod (multiplicity)!, each
+    lk, qn = _likelihood_table(spec.pair.eve, n), _block_input_probs(spec.q, n)
+    by_columns = math.comb((1 << L) + n - 1, n) < math.comb((1 << n) + L - 1, L)
+    m, probs = (n, _block_input_probs(spec.q, L)) if by_columns else (L, qn)
+    support = np.flatnonzero(probs > 0.0).tolist()
+    multisets = itertools.chain.from_iterable(itertools.combinations_with_replacement(support, m))
+    items = np.fromiter(multisets, dtype=np.uint8).reshape(-1, m)
+    # Multinomial weights m! prod probs(item) / prod (multiplicity)!, each
     # factorial divided out where its run of equal entries ends.
-    fact = np.array([float(math.factorial(k)) for k in range(L + 1)])
-    weight, run = np.full(len(idx), fact[L]), np.zeros(len(idx), dtype=np.intp)
-    for j in range(L):
-        same = idx[:, j] == idx[:, j - 1] if j else False
-        weight = weight * qn[idx[:, j]] / np.where(same, 1.0, fact[run])
+    fact = np.array([float(math.factorial(k)) for k in range(m + 1)])
+    weight, run = np.full(len(items), fact[m]), np.zeros(len(items), dtype=np.intp)
+    for j in range(m):
+        same = items[:, j] == items[:, j - 1] if j else False
+        weight = weight * probs[items[:, j]] / np.where(same, 1.0, fact[run])
         run = np.where(same, run + 1, 1)
+    # Column multisets become rows of codewords by the same bit transposition.
+    idx = _letter_patterns(items, L)[:L].T if by_columns else items
     divs = np.maximum(_type_divergences(lk, qn @ lk, idx, n), 0.0)
-    return float(np.cumsum(weight / fact[run] * divs)[-1])
+    return math.fsum((weight / fact[run] * divs).tolist())
 
 
 def _trivial_cost_query(spec):

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import Budget
 from wiretap_exponents import DiscreteChannel, WiretapPair
 from wiretap_exponents import ensemble_sim as es
 from wiretap_exponents import exponent_engine as engine
 from wiretap_exponents.solvers import scan_then_golden_max
+
+try:
+    import mpmath
+except ImportError:  # the 40-digit reference test skips without it
+    mpmath = None
 
 
 def pair(eps_b=0.1, eps_e=0.3):
@@ -405,7 +411,7 @@ def _oracle_exact_ensemble_divergence(spec):
         weight = weight * qn[idx[:, j]] / np.where(same, 1.0, fact[run])
         run = np.where(same, run + 1, 1)
     divs = np.maximum(es._subcode_divergences(lk, qn @ lk, idx), 0.0)
-    return float(np.cumsum(weight / fact[run] * divs)[-1])
+    return math.fsum((weight / fact[run] * divs).tolist())
 
 
 def _oracle_mc_ensemble_divergence(spec, samples=100_000, seed=0):
@@ -528,3 +534,127 @@ class TestTypeCodes:
         monkeypatch.setattr(es, "_divergences", counted)
         es.exact_ensemble_divergence(es.EnsembleSpec(pair(), n, 1, L, [0.5, 0.5]))
         assert 0 < rows <= math.comb(n + (1 << L) - 1, n)
+
+
+class _CountingItertools:
+    """Stands in for ensemble_sim's ``itertools`` binding and counts the multisets it yields."""
+
+    def __init__(self):
+        self.multisets = 0
+
+    def combinations_with_replacement(self, iterable, r):
+        for combo in itertools.combinations_with_replacement(iterable, r):
+            self.multisets += 1
+            yield combo
+
+    def __getattr__(self, attr):
+        return getattr(itertools, attr)
+
+
+class TestEnumerationSide:
+    @pytest.mark.parametrize("n, L", [(8, 2), (6, 3), (5, 4), (4, 4), (3, 8)])
+    def test_multisets_are_enumerated_along_the_smaller_side(self, monkeypatch, n, L):
+        # Multisets of the L codewords or of the n column patterns of L bits, whichever are fewer.
+        counting = _CountingItertools()
+        monkeypatch.setattr(es, "itertools", counting)
+        es.exact_ensemble_divergence(es.EnsembleSpec(pair(), n, 1, L, [0.5, 0.5]))
+        assert counting.multisets == min(math.comb((1 << n) + L - 1, L), math.comb((1 << L) + n - 1, n))
+
+    def test_rows_equal_up_to_codeword_order_share_a_divergence(self, monkeypatch):
+        # 15,504 column multisets at (5, 4); 3,752 rows when only letter orders are merged.
+        rows = 0
+        plain = es._divergences
+
+        def counted(laws, ref):
+            nonlocal rows
+            rows += len(laws)
+            return plain(laws, ref)
+
+        monkeypatch.setattr(es, "_divergences", counted)
+        es.exact_ensemble_divergence(es.EnsembleSpec(pair(), 5, 1, 4, [0.5, 0.5]))
+        assert 0 < rows <= 2997
+
+
+def _mp_laws(rows):
+    return [[mpmath.mpf(float(x)) for x in row] for row in rows]
+
+
+def _mp_block_probs(q, width):
+    # q^width of every block of width bits, bit k of a block being letter k.
+    return [q[1] ** bin(b).count("1") * q[0] ** (width - bin(b).count("1")) for b in range(1 << width)]
+
+
+def _mp_likelihoods(w, n):
+    # W^n(y | c) indexed [c][y]: one product of per-letter powers for each count of the four letter pairs.
+    ones = [bin(b).count("1") for b in range(1 << n)]
+    products, table = {}, []
+    for c in range(1 << n):
+        table.append([])
+        for y in range(1 << n):
+            n11 = ones[c & y]
+            counts = (n - ones[c] - ones[y] + n11, ones[y] - n11, ones[c] - n11, n11)
+            if counts not in products:
+                products[counts] = math.prod(w[a][b] ** k for (a, b), k in zip(((0, 0), (0, 1), (1, 0), (1, 1)), counts))
+            table[c].append(products[counts])
+    return table
+
+
+def _mp_ordered_tuples(spec, q):
+    # Every ordered L-tuple of codewords with its probability.
+    qn = _mp_block_probs(q, spec.n)
+    for subcode in itertools.product(range(1 << spec.n), repeat=spec.L):
+        yield mpmath.fprod(qn[c] for c in subcode), subcode
+
+
+def _mp_column_multisets(spec, q):
+    # Every multiset of the n column patterns (L bits, law q^L) with its
+    # multinomial probability, and the L codewords it transposes to.
+    n, L = spec.n, spec.L
+    ql = _mp_block_probs(q, L)
+    for columns in itertools.combinations_with_replacement(range(1 << L), n):
+        ways = math.factorial(n) // math.prod(math.factorial(columns.count(p)) for p in set(columns))
+        codewords = [sum(((p >> j) & 1) << k for k, p in enumerate(columns)) for j in range(L)]
+        yield ways * mpmath.fprod(ql[p] for p in columns), codewords
+
+
+def _mp_expected_divergence(spec, subcodes):
+    """Sum of probability * D(mixture || target) over the (probability, codewords) pairs ``subcodes(spec, q)``."""
+    n, L = spec.n, spec.L
+    w, q = _mp_laws(spec.pair.eve.rows), _mp_laws([spec.q])[0]
+    lk = _mp_likelihoods(w, n)
+    target = _mp_block_probs([q[0] * w[0][z] + q[1] * w[1][z] for z in (0, 1)], n)
+    logs, divergences, total = {}, {}, mpmath.mpf(0)
+    for prob, codewords in subcodes(spec, q):
+        key = tuple(sorted(codewords))
+        if key not in divergences:
+            div = mpmath.mpf(0)
+            for y in range(1 << n):
+                mix = mpmath.fsum(lk[c][y] for c in key) / L
+                if mix:
+                    for x in (mix, target[y]):
+                        logs.setdefault(x, mpmath.log(x))
+                    div += mix * (logs[mix] - logs[target[y]])
+            divergences[key] = div
+        total += prob * divergences[key]
+    return total
+
+
+class TestHighPrecisionReference:
+    """The exact divergence against 40-digit sums that share no code with the library."""
+
+    def test_exact_divergence_is_within_1e_14_of_a_40_digit_sum(self):
+        pytest.importorskip("mpmath")
+        # Every ordered L-tuple at tiny shapes, codeword side (2, 3), (3, 4)
+        # and column side (3, 2), (4, 2); the column-pattern multinomial at
+        # (8, 2) and (6, 3), 165 and 1,716 column multisets.
+        cases = [(n, L, _mp_ordered_tuples) for n, L in ((2, 3), (3, 2), (4, 2), (3, 4))]
+        cases += [(8, 2, _mp_column_multisets), (6, 3, _mp_column_multisets)]
+        with Budget("exact divergence against 40-digit mpmath at 6 shapes and 4 settings", 20.0):
+            with mpmath.workdps(40):
+                for eps_z in (0.0, 0.2):
+                    for q1 in (0.5, 0.15):
+                        for n, L, subcodes in cases:
+                            spec = es.EnsembleSpec(pair(0.1, eps_z), n, 1, L, [1.0 - q1, q1])
+                            want = _mp_expected_divergence(spec, subcodes)
+                            got = es.exact_ensemble_divergence(spec)
+                            assert abs(got - want) <= 1e-14 * want, (n, L, eps_z, q1, got, want)
