@@ -35,8 +35,8 @@ from .solvers import scan_then_golden_max
 MAX_BLOCK = 8
 MAX_CODEBOOK = 8
 MAX_DIVERGENCE_WORK = 1 << 25
-# Likelihood doubles gathered per pass (512 KB) by the blocked Monte Carlo
-# error and subcode divergence loops; see _block_rows.
+# Table entries gathered per pass by the blocked Monte Carlo error (uint8 ranks,
+# 64 KB) and subcode divergence (likelihood doubles, 512 KB) loops; see _block_rows.
 GATHER_BUDGET = 1 << 16
 # Equal buckets of [0, 1) that a codeword draw reads its index from; see _draw_codewords.
 DRAW_BUCKETS = 1 << 12
@@ -106,6 +106,21 @@ def _block_input_probs(q, n):
     return _powers(q[1], n)[ones] * _powers(q[0], n)[n - ones]
 
 
+def _rank_table(lk, n):
+    """The likelihood table ``lk`` as its distinct entries, ascending, and uint8 ranks with values[ranks] == lk.
+
+    Equal entries share a rank, so ML ties stay exact. Permuting the letters of y permutes its column, so
+    the n + 1 columns y = 2^w - 1 hold every value (at most C(n + 3, 3) = 165), and a row's rank
+    histogram depends only on its codeword's weight.
+    """
+    # return_inverse keeps np.unique on argsort; its in-place sort first touches about 0.6 MB more.
+    values = np.unique(lk[:, (1 << np.arange(n + 1)) - 1], return_inverse=True)[0]
+    ranks = np.zeros(lk.shape, dtype=np.uint8)
+    for v in values[1:]:
+        ranks += lk >= v
+    return values, ranks
+
+
 def exact_ensemble_error(spec):
     """Expected ML decoding error, averaged over codebooks and codewords.
 
@@ -119,24 +134,20 @@ def exact_ensemble_error(spec):
     column bitwise), so the closed form runs once per weight, on the
     output with ones in its first w letters, counted C(n, w) times.
     """
-    ml = spec.M * spec.L
+    ml, n = spec.M * spec.L, spec.n
     if ml == 1:
         return 0.0
-    n = spec.n
-    lk = _likelihood_table(spec.pair.bob, n)
+    values, ranks = _rank_table(_likelihood_table(spec.pair.bob, n), n)
     qn = _block_input_probs(spec.q, n)
     correct = 0.0
     for w in range(n + 1):
-        col = lk[:, (1 << w) - 1]
-        uniq, inv = np.unique(col, return_inverse=True)
-        mass = np.zeros(uniq.size)
-        np.add.at(mass, inv, qn)
+        inv = ranks[:, (1 << w) - 1]
+        mass = np.bincount(inv, weights=qn, minlength=len(values))
         above = np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]])
-        p_gt = above[inv]
-        p_eq = mass[inv]
+        p_gt, p_eq = above[inv], mass[inv]
         survive_late = np.maximum(1.0 - p_gt, 0.0)
         survive_early = np.maximum(1.0 - p_gt - p_eq, 0.0)
-        weight = qn * col
+        weight = qn * values[inv]
         share = 0.0
         for j in range(1, ml + 1):
             share += float(np.sum(weight * survive_early ** (j - 1) * survive_late ** (ml - j)))
@@ -144,14 +155,9 @@ def exact_ensemble_error(spec):
     return max(1.0 - correct / ml, 0.0)
 
 
-def _divergence_work(n, L):
-    return math.comb((1 << n) + L - 1, L) * (1 << n)
-
-
 def _block_rows(width, outputs):
-    # Rows of ``idx`` per pass: each gathers width likelihood rows of
-    # ``outputs`` doubles, within GATHER_BUDGET; at least 32 rows, since
-    # width <= MAX_CODEBOOK and outputs <= 2^MAX_BLOCK.
+    # Rows of ``idx`` per pass: each gathers width table rows of ``outputs`` entries, within
+    # GATHER_BUDGET; at least 32 rows, since width <= MAX_CODEBOOK and outputs <= 2^MAX_BLOCK.
     return GATHER_BUDGET // (width * outputs)
 
 
@@ -217,10 +223,11 @@ def exact_ensemble_divergence(spec):
     adds them. See _type_divergences for the rows evaluated.
     """
     n, L = spec.n, spec.L
-    if _divergence_work(n, L) > MAX_DIVERGENCE_WORK:
+    columns, codewords = math.comb((1 << L) + n - 1, n), math.comb((1 << n) + L - 1, L)
+    if min(columns, codewords) << n > MAX_DIVERGENCE_WORK:  # multisets enumerated, times 2^n outputs each
         raise ValueError(f"divergence enumeration too large for n={n}, L={L}")
     lk, qn = _likelihood_table(spec.pair.eve, n), _block_input_probs(spec.q, n)
-    by_columns = math.comb((1 << L) + n - 1, n) < math.comb((1 << n) + L - 1, L)
+    by_columns = columns < codewords
     m, probs = (n, _block_input_probs(spec.q, L)) if by_columns else (L, qn)
     support = np.flatnonzero(probs > 0.0).tolist()
     multisets = itertools.chain.from_iterable(itertools.combinations_with_replacement(support, m))
@@ -322,19 +329,13 @@ def _mc_draws(spec, channel, samples, seed, width):
     samples = _whole_number(samples, "samples")
     if samples < 2:
         raise ValueError(f"Monte Carlo needs at least 2 samples for a standard error, got {samples}")
-    lk = _likelihood_table(channel, spec.n)
-    qn = _block_input_probs(spec.q, spec.n)
+    lk, qn = _likelihood_table(channel, spec.n), _block_input_probs(spec.q, spec.n)
     return lk, qn, _draw_codewords(np.random.default_rng(seed), qn, (samples, width))
 
 
-def _output_totals(lost):
-    # Row sums of (rows, outputs) in output order, the order of a running
-    # total: numpy reduces axis 0 of the C-contiguous transpose row after
-    # row. A single row would be one contiguous sum, which numpy adds
-    # pairwise from 8 terms, so it keeps the running total.
-    if len(lost) == 1:
-        return np.cumsum(lost, axis=1)[:, -1]
-    return np.ascontiguousarray(lost.T).sum(axis=0)
+def _row_counts(a, size):
+    # np.bincount of each row of ``a`` (integers below size), as (rows, size).
+    return np.bincount((a + size * np.arange(len(a))[:, None]).ravel(), minlength=size * len(a)).reshape(-1, size)
 
 
 def mc_ensemble_error(spec, samples=100_000, seed=0):
@@ -342,26 +343,24 @@ def mc_ensemble_error(spec, samples=100_000, seed=0):
 
     Codebooks are sampled; the error probability of each sampled codebook
     is then computed exactly over outputs, as (1/ML) sum_y (sum_c W^n(y|c)
-    - max_c W^n(y|c)), so the only noise is across codebooks. Codebooks
-    are handled in blocks of rows within the gather budget, each gathered
-    once and summed in place in numpy's row-sum order, so the estimate is
-    bit for bit the per-output loop. Needs at least 2 samples.
+    - max_c W^n(y|c)), so the only noise is across codebooks. Over the
+    table's values v_k (see _rank_table) that is (1/ML) sum_k (H_k - m_k)
+    v_k, H the sum of the codewords' weight histograms and m_k the count
+    of outputs whose largest rank is k: integer coefficients, so nothing
+    cancels. Codebooks go in blocks within the gather budget; needs >= 2 samples.
     """
-    ml = spec.M * spec.L
+    ml, n = spec.M * spec.L, spec.n
     lk, _, idx = _mc_draws(spec, spec.pair.bob, samples, seed, ml)
+    values, ranks = _rank_table(lk, n)
+    size, weights = len(values), _popcounts(n)
+    hist = _row_counts(ranks[(1 << np.arange(n + 1)) - 1], size)
     err = np.empty(len(idx))
     step = _block_rows(ml, lk.shape[1])
     for start in range(0, len(idx), step):
-        g = np.take(lk, idx[start:start + step].T, axis=0)  # (ML, rows, 2^n): codeword c of each codebook
-        best = g.max(axis=0)
-        # The sent mass, summed in place into g[0] in numpy's row-sum order:
-        # sequential below 8 terms, its pairwise tree at 8 (MAX_CODEBOOK).
-        tree = ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4))
-        for a, b in tree if ml == 8 else ((0, j) for j in range(1, ml)):
-            g[a] += g[b]
-        g[0] -= best
-        g[0] /= ml
-        err[start:start + step] = _output_totals(g[0])
+        books = idx[start:start + step]
+        best = np.take(ranks, books.T, axis=0).max(axis=0)  # (rows, 2^n): each output's largest rank
+        counts = _row_counts(weights[books], n + 1) @ hist - _row_counts(best, size)
+        err[start:start + step] = counts @ values / ml
     return float(err.mean()), float(err.std(ddof=1) / math.sqrt(len(err)))
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import Budget
-from wiretap_exponents import DiscreteChannel, WiretapPair
+from wiretap_exponents import DiscreteChannel, WiretapPair, cli
 from wiretap_exponents import ensemble_sim as es
 from wiretap_exponents import exponent_engine as engine
 from wiretap_exponents.solvers import scan_then_golden_max
@@ -72,48 +73,6 @@ class TestExactError:
         mc, se = es.mc_ensemble_error(spec, samples=100_000, seed=3)
         assert abs(exact - mc) <= 4.0 * se
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("ml", range(1, 9))
-    def test_monte_carlo_is_the_per_output_loop_bit_for_bit(self, n, ml):
-        # One pass per output y over every sampled codebook: argmax of the
-        # ML likelihoods (the lower index wins a tie), their row sum, and a
-        # running total of the lost mass over outputs.
-        def per_output(spec, samples, seed):
-            lk, _, idx = es._mc_draws(spec, spec.pair.bob, samples, seed, ml)
-            err = np.zeros(samples)
-            for y in range(lk.shape[1]):
-                cols = lk[idx, y]
-                best = np.argmax(cols, axis=1)
-                sent_mass = cols.sum(axis=1)
-                win_mass = cols[np.arange(samples), best]
-                err += (sent_mass - win_mass) / ml
-            return float(err.mean()), float(err.std(ddof=1) / math.sqrt(samples))
-
-        # eps_y = 0 for exact likelihood ties, a skewed input law; sample
-        # counts that are not a multiple of the block.
-        for eps, q1 in ((0.0, 0.5), (0.1, 0.5), (0.2, 0.85)):
-            spec = es.EnsembleSpec(pair(eps, 0.3), n, ml, 1, [1.0 - q1, q1])
-            for samples in (2, 1001):
-                seed = [n, ml, samples]
-                got = es.mc_ensemble_error(spec, samples, seed)
-                want = per_output(spec, samples, seed)
-                assert [x.hex() for x in got] == [x.hex() for x in want]
-
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_output_totals_are_the_running_total_bit_for_bit(self, n):
-        # At every block shape of the Monte Carlo loop, a full block and the
-        # ragged last block of 1001 samples, with lost masses spanning many
-        # magnitudes: the last column of a running total over outputs.
-        rng = np.random.default_rng(n)
-        for ml in range(1, es.MAX_CODEBOOK + 1):
-            step = es._block_rows(ml, 1 << n)
-            for rows in {step, 1001 % step, 1}:
-                shape = (rows, 1 << n)
-                lost = rng.random(shape) ** rng.integers(1, 3 * n + 1, size=shape) / ml
-                want = np.cumsum(lost, axis=1)[:, -1]
-                assert [x.hex() for x in es._output_totals(lost)] == [x.hex() for x in want]
-
 
 class TestExactDivergence:
     def test_point_mass_input_matches_target(self):
@@ -169,9 +128,11 @@ class TestExactDivergence:
                 estimate(spec, samples)
 
     def test_work_guard(self):
-        spec = es.EnsembleSpec(pair(), 8, 1, 8, [0.5, 0.5])
-        with pytest.raises(ValueError, match="too large"):
-            es.exact_ensemble_divergence(spec)
+        # Past MAX_DIVERGENCE_WORK on both sides: 490,314 column multisets at (8, 4), times 256 outputs.
+        for L in (4, 8):
+            spec = es.EnsembleSpec(pair(), 8, 1, L, [0.5, 0.5])
+            with pytest.raises(ValueError, match="too large"):
+                es.exact_ensemble_divergence(spec)
 
 
 def block_law(rows, n, c):
@@ -303,6 +264,29 @@ class TestDrawsAndTableMatchTheOracles:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+# Ten binary channels for the rank table, four of them with 0 and 1 entries.
+RANK_CHANNELS = [
+    [[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.3, 0.7]], [[0.25, 0.75], [1.0, 0.0]],
+    [[0.9, 0.1], [0.1, 0.9]], [[0.99, 0.01], [0.01, 0.99]], [[0.9, 0.1], [0.37, 0.63]], [[0.6, 0.4], [0.2, 0.8]],
+    [[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.5], [0.001, 0.999]],
+]
+
+
+class TestRankTable:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ranks_index_the_sorted_distinct_likelihoods(self, n):
+        for rows in RANK_CHANNELS:
+            lk = es._likelihood_table(DiscreteChannel(rows), n)
+            values, ranks = es._rank_table(lk, n)
+            assert ranks.dtype == np.uint8 and ranks.shape == lk.shape
+            assert values[ranks].tobytes() == lk.tobytes(), rows
+            assert np.all(np.diff(values) > 0.0) and len(values) <= math.comb(n + 3, 3) <= 165, rows
+            # Every codeword row has the rank histogram of the row of its weight's representative 2^w - 1.
+            hists = np.array([np.bincount(row, minlength=len(values)) for row in ranks])
+            weights = [bin(c).count("1") for c in range(1 << n)]
+            assert np.array_equal(hists, hists[[(1 << w) - 1 for w in weights]]), rows
+
+
 class TestBounds:
     def test_error_bound_holds_on_sweep(self):
         for n in (2, 3, 4):
@@ -393,9 +377,14 @@ def _oracle_exact_ensemble_error(spec):
     return max(1.0 - correct / ml, 0.0)
 
 
+def _codeword_side_work(n, L):
+    # Multisets of L codewords, times 2^n outputs each: the work of the codeword-side oracle below.
+    return math.comb((1 << n) + L - 1, L) * (1 << n)
+
+
 def _oracle_exact_ensemble_divergence(spec):
     n, L = spec.n, spec.L
-    if es._divergence_work(n, L) > es.MAX_DIVERGENCE_WORK:
+    if _codeword_side_work(n, L) > es.MAX_DIVERGENCE_WORK:
         raise ValueError(f"divergence enumeration too large for n={n}, L={L}")
     lk = es._likelihood_table(spec.pair.eve, n)
     qn = es._block_input_probs(spec.q, n)
@@ -423,10 +412,11 @@ def _oracle_mc_ensemble_divergence(spec, samples=100_000, seed=0):
 # (eps, q1): exact ties, a single-codeword support either way, a skewed law.
 TYPE_SETTINGS = [(0.0, 0.5), (0.1, 0.0), (0.1, 1.0), (0.2, 0.15)]
 # The error depends on M*L only and the divergences on L only, so every
-# M*L <= 8 and every L <= 3 the work guard admits, plus (5, 2, 4) and (3, 1, 8).
+# M*L <= 8 and every L <= 3 the codeword-side oracle enumerates within
+# MAX_DIVERGENCE_WORK, plus (5, 2, 4) and (3, 1, 8).
 ERROR_SHAPES = [(n, ml) for n in range(1, 9) for ml in range(1, 9)]
 DIVERGENCE_SHAPES = [
-    (n, L) for n in range(1, 9) for L in (1, 2, 3) if es._divergence_work(n, L) <= es.MAX_DIVERGENCE_WORK
+    (n, L) for n in range(1, 9) for L in (1, 2, 3) if _codeword_side_work(n, L) <= es.MAX_DIVERGENCE_WORK
 ] + [(5, 4), (3, 8)]
 
 
@@ -560,6 +550,34 @@ class TestEnumerationSide:
         es.exact_ensemble_divergence(es.EnsembleSpec(pair(), n, 1, L, [0.5, 0.5]))
         assert counting.multisets == min(math.comb((1 << n) + L - 1, L), math.comb((1 << L) + n - 1, n))
 
+    @pytest.mark.parametrize("n, L", [(6, 4), (7, 3), (7, 4), (8, 3)])
+    def test_work_guard_counts_the_side_enumerated(self, n, L):
+        # Past MAX_DIVERGENCE_WORK on the codeword side, within it on the column side, which is enumerated.
+        assert _codeword_side_work(n, L) > es.MAX_DIVERGENCE_WORK
+        value = es.exact_ensemble_divergence(es.EnsembleSpec(pair(), n, 1, L, [0.5, 0.5]))
+        assert math.isfinite(value) and value > 0.0
+
+    def test_admitted_shape_matches_the_noiseless_closed_form(self):
+        # A noiseless tap and uniform codewords: the target is uniform on N = 2^n outputs and the
+        # subcode's mixture is the empirical law of its L codewords, so D = log N - H(mixture).
+        # Equal codewords split the L draws by a set partition with k blocks, which has
+        # probability N (N - 1) ... (N - k + 1) / N^L; set partitions are restricted growth strings.
+        n, L = 8, 3
+        size, terms = 1 << n, []
+        for labels in itertools.product(range(L), repeat=L):
+            if all(labels[i] <= max(labels[:i], default=-1) + 1 for i in range(L)):
+                blocks = [labels.count(b) / L for b in set(labels)]
+                prob = math.prod(size - j for j in range(len(blocks))) / size**L
+                terms.append(prob * (n * math.log(2.0) + sum(p * math.log(p) for p in blocks)))
+        spec = es.EnsembleSpec(pair(0.1, 0.0), n, 1, L, [0.5, 0.5])
+        assert es.exact_ensemble_divergence(spec) == pytest.approx(math.fsum(terms), rel=1e-13)
+
+    def test_cli_runs_an_admitted_shape(self, tmp_path):
+        out = tmp_path / "out.json"
+        argv = ["ensemble", "--n", "7", "--M", "1", "--L", "4", "--eps-y", "0.1", "--eps-z", "0.3", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert math.isfinite(json.loads(out.read_text(encoding="utf-8"))["exact_divergence"])
+
     def test_rows_equal_up_to_codeword_order_share_a_divergence(self, monkeypatch):
         # 15,504 column multisets at (5, 4); 3,752 rows when only letter orders are merged.
         rows = 0
@@ -637,6 +655,60 @@ def _mp_expected_divergence(spec, subcodes):
             divergences[key] = div
         total += prob * divergences[key]
     return total
+
+
+def _mp_mc_error(spec, samples, seed):
+    """(mean, stderr) of (1/ML) sum_y (sum_c W - max_c W) over the codebooks ``_mc_draws`` draws, in mpmath."""
+    ml = spec.M * spec.L
+    lk, _, idx = es._mc_draws(spec, spec.pair.bob, samples, seed, ml)
+    # Each output's likelihoods but one largest: the mass sent to it and lost.
+    errs = [mpmath.fsum(np.sort(lk[book], axis=0)[:-1].ravel().tolist()) / ml for book in idx]
+    mean = mpmath.fsum(errs) / samples
+    return mean, mpmath.sqrt(mpmath.fsum((e - mean) ** 2 for e in errs) / (samples - 1) / samples)
+
+
+# (bob rows, q1, samples): exact ties, a skewed law, a zero entry off a
+# symmetric channel, and a nearly noiseless one whose small error the
+# lost mass must not cancel. 45 samples make more than one block of
+# _block_rows at n = 8 with ML >= 6; no count is a multiple of a block.
+MC_REFERENCE_SETTINGS = [
+    ([[1.0, 0.0], [0.0, 1.0]], 0.5, 3),
+    ([[0.9, 0.1], [0.1, 0.9]], 0.85, 2),
+    ([[1.0, 0.0], [0.3, 0.7]], 0.5, 5),
+    ([[0.99, 0.01], [0.01, 0.99]], 0.5, 45),
+]
+
+
+@pytest.fixture(scope="class")
+def mc_reference_budget():
+    # One Budget over every case of the class; it checks the total when the last case is torn down.
+    with Budget("Monte Carlo error against 40-digit mpmath at 64 shapes and 4 settings", 10.0):
+        yield
+
+
+class TestMonteCarloReference:
+    """The Monte Carlo error against 40-digit sums over the same sampled codebooks."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("ml", range(1, 9))
+    def test_monte_carlo_error_is_within_1e_15_of_a_40_digit_sum(self, mc_reference_budget, n, ml):
+        pytest.importorskip("mpmath")
+        # The integer counts leave only the rounding of about 165 positive
+        # products, their sum, /ML and the mean: 4.2e-16 at most seen. A
+        # float sum of sent minus largest mass cancels where the error is
+        # small: 1.5e-14 at n = 8, ML = 2 with the nearly noiseless channel.
+        with mpmath.workdps(40):
+            for rows, q1, samples in MC_REFERENCE_SETTINGS:
+                spec = es.EnsembleSpec(WiretapPair(DiscreteChannel(rows), DiscreteChannel.bsc(0.3)), n, ml, 1,
+                                       [1.0 - q1, q1])
+                seed = [n, ml, samples]
+                mean, stderr = es.mc_ensemble_error(spec, samples, seed)
+                if ml == 1:
+                    assert (mean, stderr) == (0.0, 0.0)
+                    continue
+                want_mean, want_stderr = _mp_mc_error(spec, samples, seed)
+                assert abs(mean - want_mean) <= 1e-15 * want_mean, (rows, q1, mean, want_mean)
+                assert abs(stderr - want_stderr) <= 1e-15 * want_mean, (rows, q1, stderr, want_stderr)
 
 
 class TestHighPrecisionReference:
