@@ -209,8 +209,9 @@ def cmd_poisson(args):
         raise ValueError("poisson concat needs --a and --b")
     conc = pw.ConcatenationParams(args.a, args.b)
     plus = pw.concatenate_params(params, conc)
-    cap = pw.concatenated_capacity(params, conc)
-    f_plus, h_plus = pw.concatenated_curves(params, conc, args.q, points=args.points)
+    cap = pw.capacity(plus)
+    f_plus = pw.reliability_curve(plus, args.q, points=args.points)
+    h_plus = pw.secrecy_curve(plus, args.q, points=args.points)
     context = {
         "Ay": args.Ay, "Az": args.Az, "ly": args.ly, "lz": args.lz,
         "gamma": args.gamma, "q": args.q, "a": args.a, "b": args.b,

@@ -416,15 +416,15 @@ class ExponentOptimum(_Value):
     s: float
 
 
+def _tilt_cap(costs):
+    # TILT_CAP_SCALE over the cost spread, or 0 when every cost is equal.
+    spread = float(costs.max() - costs.min())
+    return TILT_CAP_SCALE / spread if spread > 0.0 else 0.0
+
+
 def _tilt_caps(query):
-    spread_x = float(query.costs.max() - query.costs.min())
-    r_max = TILT_CAP_SCALE / spread_x if spread_x > 0.0 else 0.0
-    if query.aux is None:
-        return r_max, r_max
-    cbar = query.input.costs
-    spread_v = float(cbar.max() - cbar.min())
-    s_max = TILT_CAP_SCALE / spread_v if spread_v > 0.0 else 0.0
-    return r_max, s_max
+    # (r on the costs of X, s on the lifted costs of V); without a prefix both are the same floats.
+    return _tilt_cap(query.costs), _tilt_cap(query.input.costs)
 
 
 _PROBE_STEP = 1e-7
@@ -458,7 +458,7 @@ def _max_over_tilts(ev, kappa, caps, merged):
     # the global tilt optimum, but the prefix sweep count is fixed at three
     # and three do not always get there: on figure 4's prefix query (aux =
     # BSC(0.025)) they stop short, leaving eve's envelope low by up to
-    # 2e-4. Sweeping to convergence is ROADMAP item 1, which re-records
+    # 2e-4. Sweeping to convergence is ROADMAP item 4, which re-records
     # figure 4's golden outputs.
     r_star = s_star = 0.0
     val = v00
@@ -759,6 +759,12 @@ def _best_input_gradient(pair, costs, gamma, seed):
     return best_q, best
 
 
+def _softmax(logits):
+    # Over the last axis.
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _aux_search(pair, costs, gamma, aux_dim, seed):
     """Local search over (input law on V, auxiliary channel V->X).
 
@@ -772,12 +778,7 @@ def _aux_search(pair, costs, gamma, aux_dim, seed):
     rng = np.random.default_rng(seed)
 
     def decode(theta):
-        qv = np.exp(theta[:aux_dim] - theta[:aux_dim].max())
-        qv /= qv.sum()
-        logits = theta[aux_dim:].reshape(aux_dim, k)
-        rows = np.exp(logits - logits.max(axis=1, keepdims=True))
-        rows /= rows.sum(axis=1, keepdims=True)
-        return qv, rows
+        return _softmax(theta[:aux_dim]), _softmax(theta[aux_dim:].reshape(aux_dim, k))
 
     def value(theta):
         qv, rows = decode(theta)

@@ -102,13 +102,6 @@ def _explicit_form(snr, rate):
     return first + 0.5 * math.log(inside) + rate
 
 
-def _gallager_form(snr, beta):
-    """The shared form in its textbook variable beta = exp(2 * rate) > 1."""
-    if beta <= 1.0:
-        raise ValueError(f"beta must exceed 1, got {beta}")
-    return _explicit_form(snr, 0.5 * math.log(beta))
-
-
 def _parametric_rate(snr, rho):
     """Rate of the shared parametric form: reliability at +rho, secrecy at -rho."""
     return 0.5 * math.log1p(snr / (1.0 + rho)) - rho * snr / (2.0 * (1.0 + rho) * (1.0 + rho + snr))

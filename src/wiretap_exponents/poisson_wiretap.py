@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_core import CostedInput, DiscreteChannel, WiretapPair, _checked, _finite_float, _frozen_array, _Value
-from .exponent_engine import ExponentCurve, RHO_EPS, _check_rho
+from .exponent_engine import ExponentCurve, RHO_EPS, _check_rho, _lse
 from .solvers import bisect_root
 
 # The secrecy curves stop at this rho; its rates grow without bound as rho -> 1.
@@ -125,10 +125,9 @@ def _log_tilted_mean(q, s, kappa):
         math.log1p(-q) + math.log(s) / kappa if q < 1.0 and s > 0.0 else -math.inf,
         math.log(q) + math.log1p(s) / kappa if q > 0.0 else -math.inf,
     )
-    top = max(logs)
-    if top == -math.inf:
-        return top, (0.0, 0.0)
-    log_g = top + math.log(sum(math.exp(a - top) for a in logs))
+    log_g = _lse(logs)
+    if log_g == -math.inf:
+        return log_g, (0.0, 0.0)
     return log_g, tuple(math.exp(a - log_g) for a in logs)
 
 
@@ -248,12 +247,13 @@ def information_gap(params, q):
     )
 
 
+def _rate_slope(s, q):
+    # d/dq of _information_rate per unit peak.
+    return -math.log(q + s) - 1.0 + (1.0 + s) * math.log1p(s) - (0.0 if s == 0.0 else s * math.log(s))
+
+
 def _gap_derivative(params, q):
-    ay, az = params.peak_bob, params.peak_eve
-    sy, sz = params.s_bob, params.s_eve
-    dy = -math.log(q + sy) - 1.0 + (1.0 + sy) * math.log1p(sy) - (0.0 if sy == 0.0 else sy * math.log(sy))
-    dz = math.log(q + sz) + 1.0 - (1.0 + sz) * math.log1p(sz) + (0.0 if sz == 0.0 else sz * math.log(sz))
-    return ay * dy + az * dz
+    return params.peak_bob * _rate_slope(params.s_bob, q) - params.peak_eve * _rate_slope(params.s_eve, q)
 
 
 @dataclass(frozen=True)

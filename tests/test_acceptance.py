@@ -302,7 +302,7 @@ def test_criterion_8_gaussian_suite():
             literal = snr / (4 * beta) * ((beta + 1) - (beta - 1) * root) + 0.5 * math.log(
                 beta - 0.5 * snr * (beta - 1) * (root - 1)
             )
-            assert abs(gw._gallager_form(snr, beta) - literal) <= 1e-12
+            assert abs(gw._explicit_form(snr, 0.5 * math.log(beta)) - literal) <= 1e-12
             rho = rng.uniform(0.01, 0.99)
             lhs = rho**2 * snr / (2 * (1 - rho) * (1 - rho + snr))
             rhs = (-rho) ** 2 * snr / (2 * (1 + (-rho)) * (1 + (-rho) + snr))

@@ -203,13 +203,13 @@ class TestDualities:
             literal = snr / (4.0 * beta) * ((beta + 1.0) - (beta - 1.0) * root) + 0.5 * math.log(
                 beta - 0.5 * snr * (beta - 1.0) * (root - 1.0)
             )
-            assert gw._gallager_form(snr, beta) == pytest.approx(literal, abs=1e-12)
+            assert gw._explicit_form(snr, 0.5 * math.log(beta)) == pytest.approx(literal, abs=1e-12)
 
     def test_secrecy_equals_shared_form_at_exp_rate(self):
         p = fig_params()
         for rate in (0.12, 0.2, 0.35):
             assert gw.secrecy_forward_tilt(p, rate) == pytest.approx(
-                gw._gallager_form(p.snr_eve, math.exp(2 * rate)), abs=1e-15
+                gw._explicit_form(p.snr_eve, 0.5 * math.log(math.exp(2 * rate))), abs=1e-15
             )
 
     def test_parametric_forms_are_sign_flips(self):
