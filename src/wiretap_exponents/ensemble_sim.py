@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_core import WiretapPair, _checked, _divergences, _laws, _Value, _whole_number
-from .exponent_engine import ExponentQuery, reliability_optimum, resolvability_e0
+from .exponent_engine import ExponentQuery, _lse, reliability_optimum, resolvability_e0
 from .solvers import scan_then_golden_max
 
 MAX_BLOCK = 8
@@ -106,15 +106,21 @@ def _block_input_probs(q, n):
     return _powers(q[1], n)[ones] * _powers(q[0], n)[n - ones]
 
 
-def _rank_table(lk, n):
-    """The likelihood table ``lk`` as its distinct entries, ascending, and uint8 ranks with values[ranks] == lk.
+def _weight_columns(lk, n):
+    """The likelihood table's distinct entries, ascending, and the ranks of its n + 1 columns y = 2^w - 1 (column w).
 
-    Equal entries share a rank, so ML ties stay exact. Permuting the letters of y permutes its column, so
-    the n + 1 columns y = 2^w - 1 hold every value (at most C(n + 3, 3) = 165), and a row's rank
-    histogram depends only on its codeword's weight.
+    Permuting the letters of y permutes its column, so those columns hold every value (at most C(n + 3, 3) = 165).
     """
-    # return_inverse keeps np.unique on argsort; its in-place sort first touches about 0.6 MB more.
-    values = np.unique(lk[:, (1 << np.arange(n + 1)) - 1], return_inverse=True)[0]
+    values, ranks = np.unique(lk[:, (1 << np.arange(n + 1)) - 1], return_inverse=True)
+    return values, ranks.reshape(len(lk), n + 1)
+
+
+def _rank_table(lk, n):
+    """The likelihood table ``lk`` as its distinct entries (see _weight_columns) and uint8 ranks with values[ranks] == lk.
+
+    Equal entries share a rank, so ML ties stay exact, and a row's rank histogram depends only on its codeword's weight.
+    """
+    values = _weight_columns(lk, n)[0]
     ranks = np.zeros(lk.shape, dtype=np.uint8)
     for v in values[1:]:
         ranks += lk >= v
@@ -137,11 +143,11 @@ def exact_ensemble_error(spec):
     ml, n = spec.M * spec.L, spec.n
     if ml == 1:
         return 0.0
-    values, ranks = _rank_table(_likelihood_table(spec.pair.bob, n), n)
+    values, columns = _weight_columns(_likelihood_table(spec.pair.bob, n), n)
     qn = _block_input_probs(spec.q, n)
     correct = 0.0
     for w in range(n + 1):
-        inv = ranks[:, (1 << w) - 1]
+        inv = columns[:, w]
         mass = np.bincount(inv, weights=qn, minlength=len(values))
         above = np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]])
         p_gt, p_eq = above[inv], mass[inv]
@@ -253,16 +259,15 @@ def _trivial_cost_query(spec):
 
 
 def _psi(rho, channel, q):
-    """Resolvability exponent base using the exact output law as reference."""
+    """Resolvability exponent base using the exact output law as reference.
+
+    -log sum_z num_z marginal_z^(-rho), num_z = sum_x q(x) W(z|x)^(1+rho), in the log domain:
+    marginal_z^(-rho) overflows at a subnormal marginal. A num_z that underflows to 0 is dropped.
+    """
     w = channel.rows
     marginal = q @ w
-    total = 0.0
-    for z in range(w.shape[1]):
-        if marginal[z] <= 0.0:
-            continue
-        num = float(q @ (w[:, z] ** (1.0 + rho)))
-        total += num * marginal[z] ** (-rho)
-    return -math.log(total)
+    nums = [float(q @ (w[:, z] ** (1.0 + rho))) for z in range(w.shape[1])]
+    return -_lse([math.log(num) - rho * math.log(m) for num, m in zip(nums, marginal.tolist()) if num > 0.0])
 
 
 def error_bound(spec):

@@ -124,6 +124,7 @@ class ExponentQuery(_Value):
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "gamma", law.gamma)
         object.__setattr__(self, "input", law)
+        _tilt_caps(self)  # refuses a cost spread whose tilt cap is not a float
         key = self._content()
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -417,9 +418,12 @@ class ExponentOptimum(_Value):
 
 
 def _tilt_cap(costs):
-    # TILT_CAP_SCALE over the cost spread, or 0 when every cost is equal.
+    # TILT_CAP_SCALE over the cost spread, or 0 when every cost is equal; ValueError when that is not a float.
     spread = float(costs.max() - costs.min())
-    return TILT_CAP_SCALE / spread if spread > 0.0 else 0.0
+    cap = TILT_CAP_SCALE / spread if spread > 0.0 else 0.0
+    if cap == math.inf:
+        raise ValueError(f"cost spread {spread!r} is too small for a finite tilt cap")
+    return cap
 
 
 def _tilt_caps(query):
@@ -940,6 +944,8 @@ def _swept_queries(query, mechanism, sweep):
         swept = []
         for eps in sweep:
             a, b = 1.0 - eps, eps
+            if a == b:
+                raise ValueError("a crossover-0.5 prefix sends every input law to (0.5, 0.5), so no law on V induces q")
             qv1 = (p1 - b) / (a - b)
             if not 0.0 <= qv1 <= 1.0:
                 raise ValueError(f"input law q(1)={p1} is not reachable through a crossover-{eps} prefix")

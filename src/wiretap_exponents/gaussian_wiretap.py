@@ -93,7 +93,9 @@ def _explicit_form(snr, rate):
     if not rate > 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
     u = math.exp(-2.0 * rate)
-    a = snr * (1.0 - u)
+    a = -snr * math.expm1(-2.0 * rate)  # snr (1 - u), which rounds to 0 where u rounds to 1
+    if a == 0.0 or 4.0 / a == math.inf:
+        raise ValueError(f"snr (1 - exp(-2 rate)) = {a} is too small for a float form at snr={snr}, rate={rate}")
     root = math.sqrt(1.0 + 4.0 / a)
     first = 0.5 * snr * u - 1.0 / (root + 1.0)
     inside = 4.0 / (a * (root + 1.0) ** 2)
@@ -114,7 +116,7 @@ def _parametric_exponent(snr, rho):
 
 def _critical_beta(snr):
     """beta = exp(2 * rate) at the explicit variant's critical rate."""
-    return 0.5 * (1.0 + 0.5 * snr + math.sqrt(1.0 + 0.25 * snr * snr))
+    return 0.5 * (1.0 + 0.5 * snr + math.hypot(1.0, 0.5 * snr))  # sqrt(1 + snr^2 / 4), with no square to overflow
 
 
 def critical_rates(params):

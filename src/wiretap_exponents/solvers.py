@@ -22,7 +22,9 @@ def golden_max(f, lo, hi, tol=1e-10, f_lo=None, f_hi=None):
     the final argmax, so an optimum pinned at the bracket edge (a tilt
     parameter at exactly 0, say) is returned exactly, not approximately.
     ``f_lo`` and ``f_hi``, when given, are taken as f(lo) and f(hi)
-    instead of evaluating f there.
+    instead of evaluating f there. The search stops when the bracket is
+    no wider than ``tol``, or than 4 ulps of the bracket's larger end: a
+    narrower bracket need not shrink at each step, and could cycle.
     """
     if hi < lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
@@ -37,7 +39,9 @@ def golden_max(f, lo, hi, tol=1e-10, f_lo=None, f_hi=None):
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc, fd = f(c), f(d)
-    while h > tol:
+    # Above 4 ulps, c > a and d < b after rounding, so every step shrinks the bracket.
+    floor = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
+    while h > floor:
         if fc >= fd:
             b, d, fd = d, c, fc
             h = b - a

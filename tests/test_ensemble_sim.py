@@ -711,6 +711,31 @@ class TestMonteCarloReference:
                 assert abs(stderr - want_stderr) <= 1e-15 * want_mean, (rows, q1, stderr, want_stderr)
 
 
+def _mp_psi(rho, rows, q):
+    """-log sum_z (sum_x q(x) W(z|x)^(1+rho)) (sum_x q(x) W(z|x))^(-rho) over the outputs of positive mass."""
+    rho, w, q = mpmath.mpf(rho), _mp_laws(rows), [mpmath.mpf(float(x)) for x in q]
+    total = mpmath.mpf(0)
+    for z in range(len(w[0])):
+        marginal = mpmath.fsum(q[x] * w[x][z] for x in range(len(q)))
+        if marginal > 0:
+            total += mpmath.fsum(q[x] * w[x][z] ** (1 + rho) for x in range(len(q))) * marginal ** -rho
+    return -mpmath.log(total)
+
+
+class TestPsiReference:
+    @pytest.mark.parametrize("q1", [0.5, 0.15, 1e-300, 5e-324])
+    @pytest.mark.parametrize("eps_z", [0.0, 0.1, 0.3, 1e-200])
+    def test_psi_is_within_4e_16_of_a_40_digit_sum(self, eps_z, q1):
+        # psi is -log of a sum of at least 1, so its error is absolute, about an ulp of 1. A subnormal
+        # marginal (eps_z = 0, q1 = 5e-324) overflowed marginal^(-rho) at rho near 1.
+        pytest.importorskip("mpmath")
+        channel, q = DiscreteChannel.bsc(eps_z), np.array([1.0 - q1, q1])
+        with mpmath.workdps(40):
+            for rho in (1e-6, 0.3, 0.5, 0.96875003125, 1.0):
+                want = _mp_psi(rho, channel.rows, q)
+                assert abs(es._psi(rho, channel, q) - want) <= 4e-16, (rho, want)
+
+
 class TestHighPrecisionReference:
     """The exact divergence against 40-digit sums that share no code with the library."""
 

@@ -39,7 +39,7 @@ from wiretap_exponents.exponent_engine import (
     _max_over_tilts,
     _tilt_caps,
 )
-from wiretap_exponents.solvers import scan_then_golden_max
+from wiretap_exponents.solvers import golden_max, scan_then_golden_max
 
 
 def bsc_pair(eps_b=0.1, eps_e=0.3):
@@ -157,6 +157,17 @@ class TestQueryValidation:
         aux = DiscreteChannel([[0.5, 0.5], [0.1, 0.9]])
         with pytest.raises(ValueError, match="nonnegative"):
             ExponentQuery(bsc_pair(), [0.5, 0.5], [-0.5, 3.0], 2.0, aux=aux)
+
+    @pytest.mark.parametrize("spread", [5e-324, 1e-310, 2.7e-307])
+    def test_cost_spread_without_a_finite_tilt_cap_rejected(self, spread):
+        # TILT_CAP_SCALE / spread is past the float range below 50 / float max, about 2.78e-307.
+        with pytest.raises(ValueError, match="tilt cap"):
+            ExponentQuery(bsc_pair(), [0.5, 0.5], [0.0, spread], 0.0)
+
+    def test_smallest_cost_spreads_with_a_finite_tilt_cap_accepted(self):
+        for spread in (2.8e-307, 1e-300):
+            caps = _tilt_caps(ExponentQuery(bsc_pair(), [0.5, 0.5], [0.0, spread], 0.0))
+            assert caps[0] == caps[1] == engine.TILT_CAP_SCALE / spread
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_rates_rejected(self, bad):
@@ -610,6 +621,13 @@ class TestTradeoffScenarios:
         with pytest.raises(ValueError, match="not reachable"):
             tradeoff_scenarios(query, "concatenate", [0.025], points=5)
 
+    @pytest.mark.parametrize("q1", [0.4, 0.5])
+    def test_concatenate_rejects_a_crossover_of_one_half(self, q1):
+        # a - b = 0 divided q(1) - b by zero (ZeroDivisionError).
+        query = ExponentQuery(bsc_pair(), [1.0 - q1, q1], [1.0, 2.0], 2.0)
+        with pytest.raises(ValueError, match="crossover-0.5"):
+            tradeoff_scenarios(query, "concatenate", [0.1, 0.5], points=5)
+
 
 # Every ordering check of tradeoff_scenarios at points=7, written out as
 # (scenario label, check name) -> ((label, side) above, (label, side)
@@ -657,6 +675,31 @@ def test_sweep_checks_are_the_pointwise_slacks(mechanism, sweep):
         slack = float(np.min(curves[pair[0]].exponents - curves[pair[1]].exponents))
         assert found[key][1].hex() == slack.hex()
         assert found[key][0] == (slack >= -1e-9)
+
+
+class TestGoldenMaxStops:
+    @staticmethod
+    def limited(f, calls=10_000):
+        count = [0]
+
+        def g(x):
+            count[0] += 1
+            if count[0] > calls:
+                raise RuntimeError("golden_max did not stop")
+            return f(x)
+
+        return g
+
+    @pytest.mark.parametrize("lo, hi", [(1e9, 1e9 + 1e-6), (5e9, 1e10), (0.0, 1e10)])
+    def test_an_increasing_function_far_from_zero(self, lo, hi):
+        # With the bracket a few ulps wide above a tolerance of 1e-9, the steps stopped shrinking it and cycled.
+        x, val = golden_max(self.limited(lambda x: x), lo, hi, tol=1e-9)
+        assert x == val == hi
+
+    def test_a_peak_far_from_zero_under_a_tilt_cap_of_5e9(self):
+        # The tilt search of a cost spread of 1e-8: cap 5e9, and a peak past 1e9.
+        x, _ = golden_max(self.limited(lambda t: -abs(t - 3.3e9)), 0.0, 5e9, tol=1e-9)
+        assert abs(x - 3.3e9) <= 4 * math.ulp(5e9)
 
 
 class TestOrderedCurves:

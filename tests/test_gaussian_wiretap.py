@@ -263,3 +263,36 @@ class TestGridOracles:
                     best, float(np.max(self.explicit_objective_tap(snr, betas, rho))) + rho * rate
                 )
             assert gw.secrecy_forward_tilt(p, rate) == pytest.approx(max(best, 0.0), abs=1e-5)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("gamma", [1e155, 1e300])
+    def test_explicit_critical_rate_is_finite_at_a_huge_snr(self, gamma):
+        # 0.25 * snr^2 overflowed in _critical_beta past snr of about 2.7e154.
+        mpmath = pytest.importorskip("mpmath")
+        p = gw.GaussianWiretapParams(1.0, 0.5, 1.0, 2.0, gamma)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(p.snr_bob)
+            want = mpmath.log((1 + s / 2 + mpmath.sqrt(1 + s * s / 4)) / 2) / 2
+        assert abs(gw.critical_rates(p)[1] - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("side, gamma", [("reliability", 1e-16), ("secrecy", 1e-20)])
+    def test_explicit_form_is_finite_where_exp_of_minus_2_rate_rounds_to_1(self, side, gamma):
+        # The figure gains and noises; snr (1 - u) was 0 and 4 / a raised ZeroDivisionError.
+        fn = gw.reliability_gallager if side == "reliability" else gw.secrecy_forward_tilt
+        p = fig_params(gamma)
+        floor = 0.5 * math.log1p(p.snr_eve)
+        cap = 0.5 * math.log1p(p.snr_bob)
+        rates = np.linspace(0.02 * cap, 0.98 * cap, 9) if side == "reliability" else floor * (1.001 + np.arange(9))
+        assert math.exp(-2.0 * float(rates[0])) == 1.0
+        assert all(math.isfinite(fn(p, float(rate))) for rate in rates)
+
+    @pytest.mark.parametrize("gamma", [1e-160, 1e-300])
+    def test_explicit_form_refuses_a_that_does_not_fit_a_float(self, gamma):
+        # snr (1 - u) underflows, or 4 / a overflows: no float form, so ValueError (exit 2), not inf or a crash.
+        p = fig_params(gamma)
+        rate = 0.5 * 0.5 * math.log1p(p.snr_bob)
+        with pytest.raises(ValueError, match="too small"):
+            gw.reliability_gallager(p, rate)
+        with pytest.raises(ValueError, match="too small"):
+            gw._explicit_form(p.snr_eve, 0.5 * math.log1p(p.snr_eve))

@@ -262,6 +262,12 @@ class TestCapacity:
         with pytest.raises(ValueError, match="does not resolve q"):
             pw.capacity(pw.PoissonWiretapParams(1e-12, 1e-12, 0.5, 1e154, 1.0))
 
+    def test_a_derivative_that_rounding_leaves_negative_at_both_ends_is_rejected(self):
+        # Peaks of 1e-7 under dark currents 1 and 2 (poisson concat with a = 1e-7, b = 0): f(1e-12) and
+        # f(1 - 1e-12) are rounding noise, both negative (RuntimeError "lost its bracket").
+        with pytest.raises(ValueError, match="does not resolve q"):
+            pw.capacity(pw.PoissonWiretapParams(1e-7, 1e-7, 1.0, 2.0, 0.0))
+
     def test_worst_case_ratio_analytic(self):
         for s in (0.1, 0.5, 1.0, 2.0):
             p = pw.PoissonWiretapParams(12.0, 5.0, 12.0 * s, 5.0 * s, 1.0)
