@@ -447,6 +447,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "Monte Carlo needs at least 2 samples" in captured.err
 
+    def test_exponents_stops_at_a_tilt_cap_of_5e9(self, tmp_path):
+        # A cost spread of 1e-8 caps the tilt at 5e9 and puts its optimum past 1e9, where golden section to a
+        # 1e-9 bracket cycled on brackets a few ulps wide: the command ran until it was killed.
+        path = tmp_path / "spread.json"
+        path.write_text(json.dumps({
+            "bob": [[1.0 - 1e-8, 1e-8], [0.0, 1.0]], "eve": [[1.0, 1e-175], [0.489457390771879, 0.510542609228121]],
+            "costs": [1e-8, 0.0], "gamma": 5.10542709228121e-09, "q": [0.510542609228121, 0.489457390771879],
+        }))
+        argv = ["exponents", "--config", str(path), "--points", "2", "--format", "json"]
+        proc = subprocess.run([sys.executable, "-m", "wiretap_exponents.cli", *argv], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "Infinity" not in proc.stdout and "NaN" not in proc.stdout
+
     def test_bad_config_key_is_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CONFIG, "zzz": 1}))

@@ -35,9 +35,6 @@ BSC = dict(bob0=0.1, bob1=0.1, eve0=0.3, eve1=0.3, c0=0.0, c1=1.0, gamma=0.1, q1
 @example(command="exponents", values=dict(BSC, c1=1e-310, q1=0.5), edge=("gamma", 0.0), sweep_size=1, points=3)
 @example(command="rate_shift", values=dict(BSC, c1=1e-310, q1=0.5), edge=("gamma", 0.0), sweep_size=1, points=3)
 @example(command="concatenate", values=BSC, edge=None, sweep_size=2, points=3)
-# A cost spread of 1e-8 (tilt cap 5e9): the tilt search's golden section cycled on a bracket a few ulps wide.
-@example(command="exponents", values=dict(BSC, bob0=1e-8, bob1=0.0, eve0=1e-175, eve1=0.489457390771879, c0=1e-8, c1=0.0,
-                                          gamma=0.0, q1=0.489457390771879), edge=None, sweep_size=1, points=2)
 # A crossover-0.5 prefix divided by a - b = 0: ZeroDivisionError.
 @example(command="concatenate", values=dict(BSC, sweep0=0.5), edge=None, sweep_size=1, points=2)
 @settings(max_examples=400, deadline=None)
@@ -61,5 +58,5 @@ def _fuzz(command, values, edge, sweep_size, points, tmp_dir):
 
 
 def test_exponents_and_tradeoff_exit_0_2_or_3_with_finite_numbers(tmp_path):
-    with Budget("exponents and tradeoff fuzz: 400 configs and 5 examples", 10.0):
+    with Budget("exponents and tradeoff fuzz: 400 configs and 4 examples", 10.0):
         _fuzz(tmp_dir=tmp_path)

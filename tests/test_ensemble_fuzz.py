@@ -5,7 +5,8 @@ drawn in range and out of it (negative, zero, huge, subnormal, NaN and
 infinite values). Every flag set must exit 0, 2 or 3 with no exception
 escaping and no RuntimeWarning, and on exit 0 every number written must
 be finite. Flags are passed as ``--flag=value``, since a bare ``-inf`` or
-``-1`` parses as an option.
+``-1`` parses as an option. ``run_cli`` and ``with_edge`` serve the other
+contract fuzz modules too.
 """
 
 import json
