@@ -176,12 +176,8 @@ def cmd_tradeoff(args):
     return EXIT_OK if all_ok else EXIT_PROPERTY
 
 
-def _poisson_params(args):
-    return pw.PoissonWiretapParams(args.Ay, args.Az, args.ly, args.lz, args.gamma)
-
-
 def cmd_poisson(args):
-    params = _poisson_params(args)
+    params = pw.PoissonWiretapParams(args.Ay, args.Az, args.ly, args.lz, args.gamma)
     if args.action == "capacity":
         cap = pw.capacity(params)
         _emit_json(
@@ -197,21 +193,16 @@ def cmd_poisson(args):
     if args.q is None:
         raise ValueError("poisson curves need --q")
     if args.action == "curves":
-        curves = [
-            ("reliability", pw.reliability_curve(params, args.q, points=args.points)),
-            ("secrecy", pw.secrecy_curve(params, args.q, points=args.points)),
-        ]
+        curves = zip(("reliability", "secrecy"), pw.curves(params, args.q, points=args.points))
         context = {"Ay": args.Ay, "Az": args.Az, "ly": args.ly, "lz": args.lz, "gamma": args.gamma, "q": args.q}
-        _emit_curves(curves, args, context)
+        _emit_curves(list(curves), args, context)
         return EXIT_OK
     # concat
     if args.a is None or args.b is None:
         raise ValueError("poisson concat needs --a and --b")
-    conc = pw.ConcatenationParams(args.a, args.b)
-    plus = pw.concatenate_params(params, conc)
+    plus = pw.concatenate_params(params, pw.ConcatenationParams(args.a, args.b))
     cap = pw.capacity(plus)
-    f_plus = pw.reliability_curve(plus, args.q, points=args.points)
-    h_plus = pw.secrecy_curve(plus, args.q, points=args.points)
+    curves = zip(("reliability_prefixed", "secrecy_prefixed"), pw.curves(plus, args.q, points=args.points))
     context = {
         "Ay": args.Ay, "Az": args.Az, "ly": args.ly, "lz": args.lz,
         "gamma": args.gamma, "q": args.q, "a": args.a, "b": args.b,
@@ -221,7 +212,7 @@ def cmd_poisson(args):
         },
         "capacity_nats_per_second": cap.value,
     }
-    _emit_curves([("reliability_prefixed", f_plus), ("secrecy_prefixed", h_plus)], args, context)
+    _emit_curves(list(curves), args, context)
     return EXIT_OK
 
 

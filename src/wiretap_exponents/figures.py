@@ -129,13 +129,9 @@ def _gaussian_curves(side, points):
     ]
 
 
-def _poisson_pair_curves(points):
-    params = poisson_params()
-    q = POISSON_SETUP["q_on"]
-    return [
-        ("reliability", pw.reliability_curve(params, q, points=points)),
-        ("secrecy", pw.secrecy_curve(params, q, points=points)),
-    ]
+def _poisson_pair_curves(params, points, suffix=""):
+    curves = pw.curves(params, POISSON_SETUP["q_on"], points=points)
+    return [(f"{side}{suffix}", curve) for side, curve in zip(("reliability", "secrecy"), curves)]
 
 
 def figure_data(fig_id, points=33):
@@ -155,16 +151,11 @@ def figure_data(fig_id, points=33):
         keep = "reliability" if fig_id == 6 else "secrecy"
         return _scenario_figure(fig_id, {"caps": tuple(caps)}, "cost_change", caps, points, keep)
     if fig_id in (8, 12):
-        return FigureData(fig_id, dict(POISSON_SETUP), _poisson_pair_curves(points))
+        return FigureData(fig_id, dict(POISSON_SETUP), _poisson_pair_curves(poisson_params(), points))
     if fig_id == 9:
         params = poisson_params()
-        conc = pw.ConcatenationParams(0.98, 0.02)
-        q = POISSON_SETUP["q_on"]
-        f_plus, h_plus = pw.concatenated_curves(params, conc, q, points=points)
-        curves = _poisson_pair_curves(points) + [
-            ("reliability_prefixed", f_plus),
-            ("secrecy_prefixed", h_plus),
-        ]
+        plus = pw.concatenate_params(params, pw.ConcatenationParams(0.98, 0.02))
+        curves = _poisson_pair_curves(params, points) + _poisson_pair_curves(plus, points, "_prefixed")
         return FigureData(9, dict(POISSON_SETUP, a=0.98, b=0.02), curves)
     if fig_id == 10:
         return FigureData(10, dict(GAUSSIAN_SETUP), _gaussian_curves("reliability", points))

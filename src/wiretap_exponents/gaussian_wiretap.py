@@ -16,8 +16,8 @@ opposite sides of a shared expression.
 * ``reliability_forward_tilt``: parametric in rho with a linear segment
   below the critical rate ``critical_rates()[0]``.
 * ``reliability_gallager``: explicit in beta = exp(2R), valid above the
-  critical rate ``critical_rates()[1]``, with a fixed-beta linear branch
-  below it.
+  critical rate ``critical_rates()[1]``, with a linear segment below it:
+  the tangent of slope -1 through the explicit form's critical point.
 * ``secrecy_forward_tilt``: the same explicit beta form evaluated at
   beta = exp(2 R_E), valid from the tapped channel's capacity rate up.
 * ``secrecy_gallager_type``: parametric in rho, same validity range.
@@ -114,11 +114,6 @@ def _parametric_exponent(snr, rho):
     return rho * rho * snr / (2.0 * (1.0 + rho) * (1.0 + rho + snr))
 
 
-def _critical_beta(snr):
-    """beta = exp(2 * rate) at the explicit variant's critical rate."""
-    return 0.5 * (1.0 + 0.5 * snr + math.hypot(1.0, 0.5 * snr))  # sqrt(1 + snr^2 / 4), with no square to overflow
-
-
 def critical_rates(params):
     """The two critical rates (parametric variant, explicit variant) for the main channel.
 
@@ -126,7 +121,8 @@ def critical_rates(params):
     """
     a = params.snr_bob
     r_param = _parametric_rate(a, 1.0)
-    r_expl = 0.5 * math.log(_critical_beta(a))
+    # beta = exp(2 * rate) is (1 + a/2 + sqrt(1 + a^2/4)) / 2, the root by hypot with no square to overflow.
+    r_expl = 0.5 * math.log(0.5 * (1.0 + 0.5 * a + math.hypot(1.0, 0.5 * a)))
     if r_param > r_expl + CRITICAL_TOL:
         raise AssertionError(f"critical rates out of order: {r_param} > {r_expl}")
     return r_param, r_expl
@@ -167,21 +163,17 @@ def reliability_forward_tilt(params, rate):
 
 
 def reliability_gallager(params, rate):
-    """Reliability exponent, explicit variant, at total rate R_B + R_E."""
+    """Reliability exponent, explicit variant, at total rate R_B + R_E.
+
+    Below its critical rate the curve continues as the line of slope -1
+    through the explicit form's point there.
+    """
     cap = _check_total_rate(params, rate)
     a = params.snr_bob
     _, r_crit = critical_rates(params)
-    if rate >= r_crit:
-        return _explicit_form(a, min(rate, cap))
-    beta = _critical_beta(a)
-    return (
-        1.0
-        - beta
-        + 0.5 * a
-        + 0.5 * math.log(beta - 0.5 * a)
-        + 0.5 * math.log(beta)
-        - rate
-    )
+    if rate < r_crit:
+        return _explicit_form(a, r_crit) + r_crit - rate
+    return _explicit_form(a, min(rate, cap))
 
 
 def _check_secrecy_rate(params, rate_e):

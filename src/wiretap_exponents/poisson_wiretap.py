@@ -136,37 +136,34 @@ def _check_duty(params, q):
         raise ValueError(f"duty probability must be in [0, {params.gamma}], got {q}")
 
 
-def _exponent_base(peak, s, q, rho):
-    # peak (q + s - g(kappa)^kappa) at kappa = 1 + rho; rho < 0 is the secrecy side.
-    kappa = 1.0 + rho
-    return peak * (q + s - math.exp(kappa * _log_tilted_mean(q, s, kappa)[0]))
-
-
-def _rate(peak, s, q, rho):
-    # d/drho of the exponent base at kappa = 1 + rho:
+def _point(peak, s, q, rho):
+    # (base, rate) at kappa = 1 + rho; rho < 0 is the secrecy side. The base is
+    # peak (q + s - g^kappa) and the rate its rho-derivative,
     # peak g^kappa (part / (g kappa) - log g), where dg/dkappa = -part / kappa^2
     # with part = (1-q) s^(1/k) log s + q (1+s)^(1/k) log(1+s). part / g is the
     # share-weighted mean of log s and log(1+s), and s^a log s -> 0 at s = 0.
     kappa = 1.0 + rho
     log_g, (share_off, share_on) = _log_tilted_mean(q, s, kappa)
+    g_kappa = math.exp(kappa * log_g)
+    base = peak * (q + s - g_kappa)
     if log_g == -math.inf:
-        return 0.0
+        return base, 0.0
     mean_log = (share_off * math.log(s) if s > 0.0 else 0.0) + share_on * math.log1p(s)
-    return peak * math.exp(kappa * log_g) * (mean_log / kappa - log_g)
+    return base, peak * g_kappa * (mean_log / kappa - log_g)
 
 
 def reliability_exponent(params, q, rho):
     """Per-second decoding-error exponent base at tilt order 1 + rho."""
     _check_duty(params, q)
     _check_rho(rho, secrecy=False)
-    return _exponent_base(params.peak_bob, params.s_bob, q, rho)
+    return _point(params.peak_bob, params.s_bob, q, rho)[0]
 
 
 def secrecy_exponent(params, q, rho):
     """Per-second divergence exponent base at tilt order 1 - rho."""
     _check_duty(params, q)
     _check_rho(rho, secrecy=True)
-    return _exponent_base(params.peak_eve, params.s_eve, q, -rho)
+    return _point(params.peak_eve, params.s_eve, q, -rho)[0]
 
 
 def reliability_rate(params, q, rho):
@@ -177,14 +174,14 @@ def reliability_rate(params, q, rho):
     """
     _check_duty(params, q)
     _check_rho(rho, secrecy=False)
-    return _rate(params.peak_bob, params.s_bob, q, rho)
+    return _point(params.peak_bob, params.s_bob, q, rho)[1]
 
 
 def secrecy_rate(params, q, rho):
     """Resolvability rate (nats/second) paired with rho on the secrecy curve."""
     _check_duty(params, q)
     _check_rho(rho, secrecy=True)
-    return _rate(params.peak_eve, params.s_eve, q, -rho)
+    return _point(params.peak_eve, params.s_eve, q, -rho)[1]
 
 
 def _information_rate(peak, s, q):
@@ -209,8 +206,8 @@ def eve_zero_rate(params, q):
 
 def _parametric_curve(peak, s, q, rhos, name):
     # The point at signed rho is (rate, base - rho * rate) on either side.
-    rates = [_rate(peak, s, q, float(r)) for r in rhos]
-    exps = [_exponent_base(peak, s, q, float(r)) - float(r) * rate for r, rate in zip(rhos, rates)]
+    bases, rates = zip(*(_point(peak, s, q, float(r)) for r in rhos))
+    exps = [base - float(r) * rate for r, base, rate in zip(rhos, bases, rates)]
     meta = {"function": name, "q": q, "argmax_rho": np.abs(rhos).tolist()}
     return ExponentCurve(rates, np.maximum(exps, 0.0), meta)
 
@@ -233,6 +230,11 @@ def secrecy_curve(params, q, points=60):
     _check_duty(params, q)
     rhos = -np.linspace(RHO_EPS, SECRECY_RHO_MAX, points)
     return _parametric_curve(params.peak_eve, params.s_eve, q, rhos, "secrecy_per_second")
+
+
+def curves(params, q, points=60):
+    """The (reliability, secrecy) curve pair at duty q, ``points`` points each."""
+    return reliability_curve(params, q, points=points), secrecy_curve(params, q, points=points)
 
 
 def information_gap(params, q):
@@ -324,13 +326,3 @@ def concatenate_params(params, conc):
         conc.b * params.peak_eve + params.dark_eve,
         gamma_plus,
     )
-
-
-def concatenated_capacity(params, conc):
-    return capacity(concatenate_params(params, conc))
-
-
-def concatenated_curves(params, conc, q, points=60):
-    """Reliability and secrecy curves of the prefixed pair at duty q on the prefix input."""
-    plus = concatenate_params(params, conc)
-    return reliability_curve(plus, q, points=points), secrecy_curve(plus, q, points=points)

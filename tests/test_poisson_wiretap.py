@@ -356,11 +356,11 @@ class TestConcatenation:
     def test_identity_concat_keeps_outputs(self):
         params = fig_params()
         ident = pw.ConcatenationParams(1.0, 0.0)
-        assert pw.concatenated_capacity(params, ident).value == pytest.approx(
+        assert pw.capacity(pw.concatenate_params(params, ident)).value == pytest.approx(
             pw.capacity(params).value, abs=1e-12
         )
         f0 = pw.reliability_curve(params, 0.38, points=10)
-        f1, _ = pw.concatenated_curves(params, ident, 0.38, points=10)
+        f1, _ = pw.curves(pw.concatenate_params(params, ident), 0.38, points=10)
         assert np.allclose(f0.exponents, f1.exponents)
 
     def test_prefix_orders_curves(self):
@@ -368,7 +368,7 @@ class TestConcatenation:
         conc = pw.ConcatenationParams(0.98, 0.02)
         f0 = pw.reliability_curve(params, 0.38, points=50)
         h0 = pw.secrecy_curve(params, 0.38, points=50)
-        f1, h1 = pw.concatenated_curves(params, conc, 0.38, points=50)
+        f1, h1 = pw.curves(pw.concatenate_params(params, conc), 0.38, points=50)
 
         def ordered(hi, lo):
             a = max(hi.rates[0], lo.rates[0])
