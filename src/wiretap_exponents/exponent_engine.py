@@ -873,6 +873,8 @@ def rate_windows(query, points, margin):
     reliability zero, so paired curves show their crossing.
     """
     info_b = query.mutual_information("bob")
+    if not info_b > 0.0:
+        raise ValueError(f"Bob's mutual information {info_b} at this input law is not positive: no rate window")
     info_e = query.mutual_information("eve")
     f_rates = np.linspace(margin * info_b, (1.0 - margin) * info_b, points)
     h_hi = min(info_e + 1.0, max(2.0 * info_e, 1.02 * info_b))

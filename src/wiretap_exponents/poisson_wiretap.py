@@ -206,6 +206,8 @@ def eve_zero_rate(params, q):
 
 def _parametric_curve(peak, s, q, rhos, name):
     # The point at signed rho is (rate, base - rho * rate) on either side.
+    if q == 0.0:
+        raise ValueError("duty probability q = 0 puts every curve point at rate 0; curves need q in (0, gamma]")
     bases, rates = zip(*(_point(peak, s, q, float(r)) for r in rhos))
     exps = [base - float(r) * rate for r, base, rate in zip(rhos, bases, rates)]
     meta = {"function": name, "q": q, "argmax_rho": np.abs(rhos).tolist()}

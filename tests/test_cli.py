@@ -187,6 +187,16 @@ class TestCommands:
         rates, exps = cli.read_curve_csv(out)
         assert len(rates) == 7 and np.isfinite(rates).all() and np.isfinite(exps).all()
 
+    @pytest.mark.parametrize("gamma", ["1e16", "1e100", "1e300"])
+    def test_gaussian_linear_branch_at_a_huge_snr(self, gamma, tmp_path):
+        # The explicit variant's linear branch took log(beta - snr/2), which rounds to log(0) from an SNR of 1e16.
+        out = tmp_path / "curve.csv"
+        flags = f"--Ay 1 --Az 0.5 --sy 0.5 --sz 0.8 --gamma {gamma} --out {out}"
+        command = f"gaussian reliability --variant gallager {flags}"
+        assert cli.main(command.split()) == 0
+        rates, exps = cli.read_curve_csv(out)
+        assert np.isfinite(rates).all() and np.isfinite(exps).all()
+
     @pytest.mark.parametrize(
         "action, variant, fig_id, curve",
         [
@@ -361,6 +371,21 @@ class TestExitCodes:
         # Both bracket ends of the derivative round to the same number, so no root can be bracketed.
         assert cli.main(command.split()) == 2
         assert "does not resolve q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["curves", "concat --a 0.98 --b 0.02"])
+    def test_a_poisson_curve_at_duty_zero_is_two(self, action, capsys):
+        # Every point of a curve at q = 0 has rate 0.
+        command = f"poisson {action} --Ay 12 --Az 5 --ly 0.5 --lz 1.5 --gamma 0.5 --q 0 --points 3"
+        assert cli.main(command.split()) == 2
+        assert "duty probability q = 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["exponents"], ["tradeoff", "--mechanism", "rate_shift", "--sweep", "0.1"]])
+    def test_an_input_law_bob_learns_nothing_from_is_two(self, argv, tmp_path, capsys):
+        # q = [1, 0] sends one symbol only, so Bob's mutual information and every rate of the window are 0.
+        path = tmp_path / "one_symbol.json"
+        path.write_text(json.dumps({**CONFIG, "q": [1.0, 0.0]}))
+        assert cli.main([*argv, "--config", str(path)]) == 2
+        assert "Bob's mutual information 0.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["capacity", "exponents"])
     def test_non_finite_config_is_two(self, command, tmp_path, capsys):

@@ -37,6 +37,9 @@ BSC = dict(bob0=0.1, bob1=0.1, eve0=0.3, eve1=0.3, c0=0.0, c1=1.0, gamma=0.1, q1
 @example(command="concatenate", values=BSC, edge=None, sweep_size=2, points=3)
 # A crossover-0.5 prefix divided by a - b = 0: ZeroDivisionError.
 @example(command="concatenate", values=dict(BSC, sweep0=0.5), edge=None, sweep_size=1, points=2)
+# q = [1, 0]: Bob's mutual information is 0, so every rate of the window is 0 (exit 2).
+@example(command="exponents", values=dict(BSC, c0=1.0, c1=2.0, gamma=0.4, q1=0.0), edge=None, sweep_size=1, points=3)
+@example(command="rate_shift", values=dict(BSC, c0=1.0, c1=2.0, gamma=0.4, q1=0.0), edge=None, sweep_size=1, points=3)
 @settings(max_examples=400, deadline=None)
 def _fuzz(command, values, edge, sweep_size, points, tmp_dir):
     v = dict(values, gamma=(1.0 - values["q1"]) * values["c0"] + values["q1"] * values["c1"] + values["gamma"])
@@ -58,5 +61,5 @@ def _fuzz(command, values, edge, sweep_size, points, tmp_dir):
 
 
 def test_exponents_and_tradeoff_exit_0_2_or_3_with_finite_numbers(tmp_path):
-    with Budget("exponents and tradeoff fuzz: 400 configs and 4 examples", 10.0):
+    with Budget("exponents and tradeoff fuzz: 400 configs and 6 examples", 10.0):
         _fuzz(tmp_dir=tmp_path)

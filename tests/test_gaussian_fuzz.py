@@ -32,6 +32,8 @@ REPRO = dict(Ay=1.0, Az=0.5, sy=1.0, sz=2.0, gamma=1.0)
 @example(action="reliability", variant="gallager", flags=FIGURE, edge=("gamma", 1e-16), points=5)
 @example(action="secrecy", variant="forward", flags=FIGURE, edge=("gamma", 1e-20), points=5)
 @example(action="reliability", variant="gallager", flags=FIGURE, edge=("gamma", 1e-300), points=5)  # exit 2
+# The linear branch took log(beta - snr/2), which rounds to log(0) at an SNR of 1e16: exit 2, now exit 0.
+@example(action="reliability", variant="gallager", flags=FIGURE, edge=("gamma", 1e16), points=5)
 @settings(max_examples=400, deadline=None)
 def _fuzz(action, variant, flags, edge, points, tmp_dir):
     flags = dict(flags, points=points)
@@ -42,5 +44,5 @@ def _fuzz(action, variant, flags, edge, points, tmp_dir):
 
 
 def test_gaussian_exits_0_2_or_3_with_finite_numbers(tmp_path):
-    with Budget("gaussian fuzz: 400 flag sets and 5 examples", 10.0):
+    with Budget("gaussian fuzz: 400 flag sets and 6 examples", 10.0):
         _fuzz(tmp_dir=tmp_path)

@@ -129,6 +129,28 @@ class TestReliabilityForms:
         got = gw._explicit_form(snr, rate)
         assert abs(got - ref) <= 1e-12 + 1e-14 * abs(ref)
 
+    @pytest.mark.parametrize("snr", [0.5, 2.0, 1e3, 1e8, 1e15, 1e16, 1e50, 1e150, 1e300])
+    def test_linear_branch_matches_60_digits(self, snr):
+        # Below the explicit critical rate the exponent is 1 - d + log(d) / 2 + log(beta) / 2 - rate with
+        # d = beta - snr / 2, taken as (1 + 1 / (h + snr / 2)) / 2, h = sqrt(1 + snr^2 / 4): the plain
+        # difference cancels even at 60 digits from an SNR of about 1e150. The error stays within 2^-52 of
+        # the exponent at rate 0 (1.85e-16 measured); from an SNR of 1e16 up it once raised at log(0).
+        mpmath = pytest.importorskip("mpmath")
+        p = gw.GaussianWiretapParams(1.0, 0.5, 1.0, 1.0, snr)
+        r_crit = gw.critical_rates(p)[1]
+
+        def error_and_reference(rate):
+            with mpmath.workdps(60):
+                a, r = mpmath.mpf(snr), mpmath.mpf(rate)
+                h = mpmath.sqrt(1 + a * a / 4)
+                d = (1 + 1 / (h + a / 2)) / 2
+                ref = 1 - d + mpmath.log(d) / 2 + mpmath.log((1 + a / 2 + h) / 2) / 2 - r
+                return float(abs(gw.reliability_gallager(p, rate) - ref)), float(ref)
+
+        scale = error_and_reference(0.0)[1]
+        for frac in (0.0, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-9):
+            assert error_and_reference(frac * r_crit)[0] <= 2.0**-52 * scale, frac
+
     def test_rate_range_enforced(self):
         p = fig_params()
         cap = 0.5 * math.log1p(p.snr_bob)
@@ -268,7 +290,7 @@ class TestGridOracles:
 class TestFloatRange:
     @pytest.mark.parametrize("gamma", [1e155, 1e300])
     def test_explicit_critical_rate_is_finite_at_a_huge_snr(self, gamma):
-        # 0.25 * snr^2 overflowed in _critical_beta past snr of about 2.7e154.
+        # 0.25 * snr^2 overflowed in the explicit critical rate past snr of about 2.7e154.
         mpmath = pytest.importorskip("mpmath")
         p = gw.GaussianWiretapParams(1.0, 0.5, 1.0, 2.0, gamma)
         with mpmath.workdps(40):
