@@ -193,16 +193,16 @@ def cmd_poisson(args):
     if args.q is None:
         raise ValueError("poisson curves need --q")
     if args.action == "curves":
-        curves = zip(("reliability", "secrecy"), pw.curves(params, args.q, points=args.points))
+        curves = list(zip(("reliability", "secrecy"), pw.curves(params, args.q, points=args.points)))
         context = {"Ay": args.Ay, "Az": args.Az, "ly": args.ly, "lz": args.lz, "gamma": args.gamma, "q": args.q}
-        _emit_curves(list(curves), args, context)
+        _emit_curves(curves, args, context)
         return EXIT_OK
     # concat
     if args.a is None or args.b is None:
         raise ValueError("poisson concat needs --a and --b")
     plus = pw.concatenate_params(params, pw.ConcatenationParams(args.a, args.b))
     cap = pw.capacity(plus)
-    curves = zip(("reliability_prefixed", "secrecy_prefixed"), pw.curves(plus, args.q, points=args.points))
+    curves = list(zip(("reliability_prefixed", "secrecy_prefixed"), pw.curves(plus, args.q, points=args.points)))
     context = {
         "Ay": args.Ay, "Az": args.Az, "ly": args.ly, "lz": args.lz,
         "gamma": args.gamma, "q": args.q, "a": args.a, "b": args.b,
@@ -212,7 +212,7 @@ def cmd_poisson(args):
         },
         "capacity_nats_per_second": cap.value,
     }
-    _emit_curves(list(curves), args, context)
+    _emit_curves(curves, args, context)
     return EXIT_OK
 
 

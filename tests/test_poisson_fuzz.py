@@ -32,7 +32,7 @@ RANGES = {"Ay": (1e-3, 1e6), "Az": (1e-3, 1e6), "ly": (0.0, 10.0), "lz": (0.0, 1
 # Rounding left the gap derivative negative at both ends of (0, 1): RuntimeError.
 @example(action="concat", flags=dict(Ay=1.0, Az=1.0, ly=1.0, lz=2.0, gamma=0.0, q=0.0, a=1e-7, b=0.0), edge=None,
          points=2)
-# Every point of a curve at q = 0 has rate 0: exit 2 for a strictly increasing rate grid, now for the duty.
+# Every point of a curve at q = 0 has rate 0: exit 2, naming the duty (it named the rate grid).
 @example(action="curves", flags=dict(Ay=12.0, Az=5.0, ly=0.5 / 12.0, lz=0.3, gamma=0.5, q=0.0, a=1.0, b=0.0), edge=None,
          points=3)
 @settings(max_examples=400, deadline=None)
