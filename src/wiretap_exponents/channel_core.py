@@ -37,8 +37,13 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _frozen_array(values, name="array"):
-    """A read-only float64 copy of ``values``; rejects NaN and inf."""
-    a = np.array(values, dtype=np.float64)
+    """A read-only float64 copy of ``values``; rejects NaN, inf, None and what is not numbers."""
+    if values is None:  # numpy would read it as NaN
+        raise ValueError(f"{name} must be an array of numbers, got None")
+    try:
+        a = np.array(values, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"{name} must be an array of numbers ({exc})") from exc
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite, got {a}")
     a.flags.writeable = False
@@ -46,8 +51,11 @@ def _frozen_array(values, name="array"):
 
 
 def _finite_float(value, name="value"):
-    """``value`` as a float; rejects NaN and inf."""
-    x = float(value)
+    """``value`` as a float; rejects NaN, inf and what is not a number."""
+    try:
+        x = float(value)
+    except TypeError as exc:
+        raise ValueError(f"{name} must be a number, got {value!r}") from exc
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x}")
     return x
@@ -417,6 +425,8 @@ def parse_wiretap_config(doc):
     "gamma", and optionally "q". Unknown keys are rejected. Returns a
     dict with DiscreteChannel / array / float values.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a wiretap config must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -436,5 +446,10 @@ def parse_wiretap_config(doc):
 
 
 def load_wiretap_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_wiretap_config(json.load(fh))
+    """``parse_wiretap_config`` of the JSON file at ``path``; ValueError when it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc.strerror}") from exc
+    return parse_wiretap_config(doc)

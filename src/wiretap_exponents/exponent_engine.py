@@ -18,8 +18,9 @@ The supremum over (rho, r, s) is taken by a coarse scan followed by
 golden-section refinement in each variable; the objective is concave in
 rho for fixed tilts and concave in each tilt separately, and the scan
 step guards the nesting against surprises. The inner maximum over the
-tilts does not depend on the rate, so it is memoised per (query, side)
-and shared by every rate, curve and caller (``_Envelope``).
+tilts does not depend on the rate, so it is memoised per rate-free
+(query, side), by that side's ``_E0Evaluator``, and shared by every rate,
+curve and caller.
 """
 
 import functools
@@ -70,10 +71,6 @@ def _bits(a):
     return None if a is None else (a.shape, a.tobytes())
 
 
-# The two rates that end the content key of a rate-free query.
-_ZERO_RATES_KEY = ((0.0).hex(), (0.0).hex())
-
-
 def _rate(value, name):
     # Adding 0.0 turns -0.0 into 0.0, so a negative zero keys no second envelope.
     rate = _finite_float(value, name) + 0.0
@@ -95,9 +92,10 @@ class ExponentQuery(_Value):
 
     Queries are equal when their content is: both channels' rows, ``q``,
     ``costs``, ``aux`` rows, ``gamma`` and the two rates, floats compared
-    by their bits (-0.0 is stored as 0.0). The envelope cache keys on the
-    rate-free query. The content key and its hash are computed once, when
-    the query is built.
+    by their bits (-0.0 is stored as 0.0). The content key and its hash,
+    ``tilt_caps`` (r's on the costs of X, s's on the lifted costs of V) and
+    a rated query's twin with both rates 0, ``_rate_free`` (else None), the
+    evaluator cache's key, are computed once, when the query is built.
     """
 
     pair: WiretapPair
@@ -108,6 +106,8 @@ class ExponentQuery(_Value):
     rate_e: float = _checked(_rate, "rate_e", default=0.0)
     aux: DiscreteChannel | None = None
     input: CostedInput = field(init=False, repr=False)
+    tilt_caps: tuple = field(init=False, repr=False)
+    _rate_free: "ExponentQuery | None" = field(init=False, repr=False)
     _key: tuple = field(init=False, repr=False)
     _hash: int = field(init=False, repr=False)
 
@@ -124,7 +124,10 @@ class ExponentQuery(_Value):
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "gamma", law.gamma)
         object.__setattr__(self, "input", law)
-        _tilt_caps(self)  # refuses a cost spread whose tilt cap is not a float
+        # _tilt_cap refuses a cost spread whose cap is not a float.
+        object.__setattr__(self, "tilt_caps", (_tilt_cap(costs), _tilt_cap(law.costs)))
+        rated = self.rate_b != 0.0 or self.rate_e != 0.0
+        object.__setattr__(self, "_rate_free", replace(self, rate_b=0.0, rate_e=0.0) if rated else None)
         key = self._content()
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -340,6 +343,10 @@ class _E0Evaluator:
     as one tuple, so concurrent callers can at worst repeat work. Every
     float is the formula's, summed in the same order, so every value is
     bit-identical to the plain nested log-sum-exp.
+
+    It also owns its side's rate-free tilt envelope (``tilt_optimum``), so
+    one evaluator per rate-free (query, side), cached by
+    ``_cached_envelope``, serves every rate, curve and caller.
     """
 
     def __init__(self, query, side):
@@ -372,9 +379,25 @@ class _E0Evaluator:
         self._kernel = bind(floats, 0.0)
         self._offset = self(1.0, 0.0, 0.0)
         self._kernel = bind(floats, self._offset)
+        self._caps = query.tilt_caps
+        self._merged = query.aux is None
+        self._memo = {}
 
     def __call__(self, kappa, r, s):
         return self._kernel(kappa, r, s)
+
+    def tilt_optimum(self, kappa):
+        """(max over tilts of E0 at kappa, r*, s*), memoised per kappa.
+
+        The search is deterministic in kappa, so a hit is exactly what a fresh search computes. The memo
+        is cleared at ENVELOPE_MEMO_SIZE entries; concurrent callers can at worst repeat a search.
+        """
+        hit = self._memo.get(kappa)
+        if hit is None:
+            if len(self._memo) >= ENVELOPE_MEMO_SIZE:
+                self._memo.clear()
+            hit = self._memo[kappa] = _max_over_tilts(self, kappa, self._caps, self._merged)
+        return hit
 
 
 def _check_rho(rho, secrecy):
@@ -393,7 +416,7 @@ def _tilted_e0(side, rho, query, r, s):
     r, s = _finite_float(r, "tilt r"), _finite_float(s, "tilt s")
     if r < 0.0 or s < 0.0:
         raise ValueError("tilt parameters must be nonnegative")
-    return _envelope(query, side).evaluator(_kappa(side, rho), r, s)
+    return _envelope(query, side)(_kappa(side, rho), r, s)
 
 
 def gallager_e0(rho, query, r=0.0, s=0.0):
@@ -424,11 +447,6 @@ def _tilt_cap(costs):
     if cap == math.inf:
         raise ValueError(f"cost spread {spread!r} is too small for a finite tilt cap")
     return cap
-
-
-def _tilt_caps(query):
-    # (r on the costs of X, s on the lifted costs of V); without a prefix both are the same floats.
-    return _tilt_cap(query.costs), _tilt_cap(query.input.costs)
 
 
 _PROBE_STEP = 1e-7
@@ -478,72 +496,36 @@ def _max_over_tilts(ev, kappa, caps, merged):
     return val, r_star, s_star
 
 
-# At most this many (query, side) envelopes are kept, least recently
+# At most this many (query, side) evaluators are kept, least recently
 # used first out, each with at most ENVELOPE_MEMO_SIZE memoised kappas
 # (about 150 bytes each): under 20 MB in all.
 ENVELOPE_CACHE_SIZE = 32
 ENVELOPE_MEMO_SIZE = 4096
 
 
-class _Envelope:
-    """Rate-free tilt envelope of one (query, side): kappa -> max over tilts.
-
-    Every exponent is sup over rho of this envelope at kappa = 1 +- rho
-    minus (reliability) or plus (secrecy) rho times the rate, so curves,
-    zero-rate bisections and repeated scenarios share one envelope. The
-    tilt search is deterministic in kappa, so the memo returns exactly
-    the floats a fresh search computes. It is cleared when it reaches
-    ENVELOPE_MEMO_SIZE entries, which bounds its memory. Concurrent
-    callers can at worst repeat a search; none sees a different value.
-    """
-
-    __slots__ = ("evaluator", "_caps", "_merged", "_memo")
-
-    def __init__(self, query, side):
-        self.evaluator = _E0Evaluator(query, side)
-        self._caps = _tilt_caps(query)
-        self._merged = query.aux is None
-        self._memo = {}
-
-    def __call__(self, kappa):
-        """(max over tilts of E0 at kappa, r*, s*)."""
-        hit = self._memo.get(kappa)
-        if hit is None:
-            if len(self._memo) >= ENVELOPE_MEMO_SIZE:
-                self._memo.clear()
-            hit = self._memo[kappa] = _max_over_tilts(self.evaluator, kappa, self._caps, self._merged)
-        return hit
-
-
 @functools.lru_cache(maxsize=ENVELOPE_CACHE_SIZE)
 def _cached_envelope(query, side):
-    return _Envelope(query, side)
+    """The one evaluator, with its tilt envelope, of a rate-free (query, side)."""
+    return _E0Evaluator(query, side)
 
 
 def _envelope(query, side):
-    """The shared envelope of (query, side), keyed on the rate-free query; at most ENVELOPE_CACHE_SIZE are kept."""
-    rate_free = query
-    if query.rate_b != 0.0 or query.rate_e != 0.0:
-        # A copy with both rates 0, not a rebuild: the constructor has checked every field already.
-        # Its key is the rated key with the two rates that end it zeroed.
-        rate_free = object.__new__(ExponentQuery)
-        key = query._key[:-2] + _ZERO_RATES_KEY
-        vars(rate_free).update(vars(query), rate_b=0.0, rate_e=0.0, _key=key, _hash=hash(key))
-    return _cached_envelope(rate_free, side)
+    """The shared evaluator of (query, side), keyed on the rate-free query; at most ENVELOPE_CACHE_SIZE are kept."""
+    return _cached_envelope(query._rate_free or query, side)
 
 
 def _optimize(query, side, rate):
     """sup over rho of the signed exponent objective at one rate."""
-    envelope = _envelope(query, side)
+    tilt_optimum = _envelope(query, side).tilt_optimum
     sign = -1.0 if side == "bob" else 1.0
 
     def objective(rho):
-        return envelope(_kappa(side, rho))[0] + sign * rho * rate
+        return tilt_optimum(_kappa(side, rho))[0] + sign * rho * rate
 
     lo, hi = (0.0, 1.0) if side == "bob" else (RHO_EPS, 1.0 - RHO_EPS)
     rho_star, raw = scan_then_golden_max(objective, lo, hi, scan_points=17, tol=1e-10)
     # A memo hit, or after a memo clear the same floats again: the tilt search is deterministic in kappa.
-    _, r_star, s_star = envelope(_kappa(side, rho_star))
+    _, r_star, s_star = tilt_optimum(_kappa(side, rho_star))
     return ExponentOptimum(max(raw, 0.0), raw, rho_star, r_star, s_star)
 
 
@@ -617,7 +599,7 @@ def _curve(query, side, rates, name, offset=0.0):
         "argmax_r": [opt.r for opt in opts],
         "argmax_s": [opt.s for opt in opts],
         "raw": [opt.raw for opt in opts],
-        "tilt_caps": _tilt_caps(query),
+        "tilt_caps": query.tilt_caps,
     }
     return ExponentCurve(rates, [opt.value for opt in opts], meta)
 
@@ -821,8 +803,10 @@ def secrecy_capacity(pair, costs, gamma, aux_dim=2, seed=0):
     (exhaustive 1-D scan on binary alphabets, multi-start projected
     gradient ascent on the exact gradient otherwise). Otherwise a local
     search over an auxiliary alphabet of size ``aux_dim`` produces a
-    lower bound flagged as heuristic; no cardinality bound for V is
-    known, so ``aux_dim`` is a user knob.
+    lower bound flagged as heuristic. By the support lemma |V| <= |X|
+    suffices without a cost (Csiszar and Korner 1978; El Gamal and Kim
+    2011, Thm 22.1) and the one cost constraint can add one letter; a
+    smaller ``aux_dim`` searches fewer channels, still a lower bound.
 
     Costs must be finite, nonnegative and one per input letter, the cap
     ``gamma`` finite and at least the cheapest cost, and ``aux_dim`` a

@@ -29,7 +29,6 @@ from wiretap_exponents import ensemble_sim as es
 from wiretap_exponents import figures as fm
 from wiretap_exponents import gaussian_wiretap as gw
 from wiretap_exponents import poisson_wiretap as pw
-from wiretap_exponents.exponent_engine import _tilt_caps
 
 
 class Budget:
@@ -96,7 +95,7 @@ def _grid_oracle(query, side, rate, n=200):
     w = (query.pair.bob if side == "bob" else query.pair.eve).rows
     qv = query.input.probs
     dc = query.gamma - query.costs
-    r_max, s_max = _tilt_caps(query)
+    r_max, s_max = query.tilt_caps
     rhos = np.linspace(0.0 if side == "bob" else 1e-9, 1.0 if side == "bob" else 1 - 1e-9, n)
     tilt = np.linspace(0.0, r_max, n)[:, None] + np.linspace(0.0, s_max, n)[None, :]
     best = -np.inf

@@ -486,6 +486,31 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert "Infinity" not in proc.stdout and "NaN" not in proc.stdout
 
+    @pytest.mark.parametrize(
+        "command", [["capacity"], ["exponents"], ["tradeoff", "--mechanism", "rate_shift", "--sweep", "0.1"]]
+    )
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (5, "must be a JSON object"),
+            ([[1]], "must be a JSON object"),
+            (None, "must be a JSON object"),
+            ({**CONFIG, "bob": {"a": 1}}, "channel matrix must be an array of numbers"),
+            ({**CONFIG, "gamma": [1]}, "gamma must be a number"),
+            ({**CONFIG, "gamma": None}, "gamma must be a number"),
+            ({**CONFIG, "q": None}, "q must be an array of numbers"),
+            ("no such file", "cannot read config"),
+        ],
+        ids=["number", "list", "null", "bob_object", "gamma_list", "gamma_null", "q_null", "missing_path"],
+    )
+    def test_malformed_config_is_two(self, command, doc, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        if doc != "no such file":
+            path.write_text(json.dumps(doc))
+        assert cli.main([command[0], "--config", str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "precondition violation: " in err and message in err
+
     def test_bad_config_key_is_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CONFIG, "zzz": 1}))

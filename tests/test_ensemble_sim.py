@@ -329,13 +329,13 @@ class TestBounds:
             assert es.error_bound(spec) == 2.0 * math.exp(-n * raw)
 
             def phi_neg(rho):
-                return n * envelope(1.0 - rho)[0] + math.log(rho) + rho * math.log(l)
+                return n * envelope.tilt_optimum(1.0 - rho)[0] + math.log(rho) + rho * math.log(l)
 
             _, best_phi = scan_then_golden_max(phi_neg, 1e-6, 1.0 - 1e-9, scan_points=33, tol=1e-12)
             assert es.divergence_bounds(spec)[1] == 2.0 * math.exp(-best_phi)
             for rho in (0.05, 0.5, 0.95):
                 psi = es._psi(rho, spec.pair.eve, spec.q)
-                assert es.holder_gap(spec, rho) == psi - envelope(1.0 - rho)[0]
+                assert es.holder_gap(spec, rho) == psi - envelope.tilt_optimum(1.0 - rho)[0]
 
     def test_holder_gap_zero_for_noiseless(self):
         spec = es.EnsembleSpec(pair(0.0, 0.0), 2, 1, 2, [0.5, 0.5])

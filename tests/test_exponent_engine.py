@@ -37,7 +37,6 @@ from wiretap_exponents.exponent_engine import (
     ExponentOptimum,
     _E0Evaluator,
     _max_over_tilts,
-    _tilt_caps,
 )
 from wiretap_exponents.solvers import golden_max, scan_then_golden_max
 
@@ -166,7 +165,7 @@ class TestQueryValidation:
 
     def test_smallest_cost_spreads_with_a_finite_tilt_cap_accepted(self):
         for spread in (2.8e-307, 1e-300):
-            caps = _tilt_caps(ExponentQuery(bsc_pair(), [0.5, 0.5], [0.0, spread], 0.0))
+            caps = ExponentQuery(bsc_pair(), [0.5, 0.5], [0.0, spread], 0.0).tilt_caps
             assert caps[0] == caps[1] == engine.TILT_CAP_SCALE / spread
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -228,7 +227,7 @@ class TestQueryValue:
         assert engine._cached_envelope.cache_info().misses == 1
 
     def test_rated_lookup_reuses_the_checked_query(self, monkeypatch):
-        # The rate-free key is a copy of the rated query, so no constructor check runs again.
+        # The rate-free key is the twin the rated query built with itself, so no constructor check runs again.
         query, rated = fig_query(), fig_query(rate_b=0.1, rate_e=0.2)
         engine._cached_envelope.cache_clear()
         envelope = engine._envelope(query, "eve")
@@ -244,8 +243,9 @@ class TestQueryValue:
         calls = []
         plain_content = ExponentQuery._content
         monkeypatch.setattr(ExponentQuery, "_content", lambda self: calls.append(1) or plain_content(self))
+        # The rated query also builds its rate-free twin, which computes its own key.
         query, rated, twin = fig_query(), fig_query(rate_b=0.1, rate_e=0.2), fig_query()
-        assert len(calls) == 3
+        assert len(calls) == 4
         engine._cached_envelope.cache_clear()
         for side in ("bob", "eve"):
             # A rated lookup still finds the zero-rate envelope.
@@ -254,15 +254,15 @@ class TestQueryValue:
             assert engine._envelope(twin, side) is envelope
         assert engine._cached_envelope.cache_info().misses == 2
         assert query == twin and hash(query) == hash(twin) and query != rated
-        assert len(calls) == 3
-        # Every copy is a new query with its own key, computed once.
+        assert len(calls) == 4
+        # Every copy is a new rated query with its own key and its twin's, each computed once.
         copies = [
             dataclasses.replace(query, rate_b=0.1, rate_e=0.2),
             query.with_rates(0.1, 0.2),
             pickle.loads(pickle.dumps(rated)),
             copy.deepcopy(rated),
         ]
-        assert len(calls) == 3 + len(copies)
+        assert len(calls) == 4 + 2 * len(copies)
         assert all(c == rated and hash(c) == hash(rated) for c in copies)
         assert rated.with_rates(0.0, 0.0) == query and hash(rated.with_rates(0.0, 0.0)) == hash(query)
 
@@ -758,7 +758,7 @@ def reference_optimize(query, side, rate):
     # The uncached rho search, written out: a fresh evaluator per call
     # and a full tilt search at every rho the search visits.
     ev = _E0Evaluator(query, side)
-    caps = _tilt_caps(query)
+    caps = query.tilt_caps
     merged = query.aux is None
     sign = -1.0 if side == "bob" else 1.0
     state = {}
@@ -865,6 +865,35 @@ class TestSharedEnvelope:
         assert bits(bob) == bits(reference_optimize(base, "bob", rate))
         assert bits(eve) == bits(reference_optimize(base, "eve", rate))
 
+    def test_one_evaluator_per_rate_free_query_and_side(self, monkeypatch):
+        # Every entry point of one query, at any rate, reads the same two evaluators.
+        builds = []
+        plain_init = _E0Evaluator.__init__
+        monkeypatch.setattr(_E0Evaluator, "__init__", lambda self, *args: builds.append(plain_init(self, *args)))
+        query = fig_query()
+        engine._cached_envelope.cache_clear()
+        reliability_curve(query, [0.05, 0.1])
+        secrecy_curve(query, [0.2, 0.3])
+        reliability_optimum(query.with_rates(rate_b=0.1, rate_e=0.05))
+        secrecy_optimum(query.with_rates(rate_e=0.3))
+        gallager_e0(0.5, query, r=0.1)
+        resolvability_e0(0.5, query, s=0.1)
+        reliability_zero_rate(query)
+        secrecy_zero_rate(query)
+        assert len(builds) == 2
+        assert all(isinstance(engine._envelope(query, side), _E0Evaluator) for side in ("bob", "eve"))
+
+    def test_query_holds_its_tilt_caps_and_rate_free_twin(self):
+        qv1 = (0.3 - 0.025) / 0.95
+        prefixed = ExponentQuery(bsc_pair(), [1 - qv1, qv1], [1.0, 2.0], 1.4, aux=DiscreteChannel.bsc(0.025))
+        for query in (fig_query(), prefixed):
+            assert query.tilt_caps == (engine._tilt_cap(query.costs), engine._tilt_cap(query.input.costs))
+            assert query._rate_free is None
+            for rates in ((0.1, 0.0), (0.0, 0.2), (0.1, 0.2)):
+                rated = query.with_rates(*rates)
+                assert rated._rate_free == query.with_rates(0.0, 0.0) and rated._rate_free._rate_free is None
+        assert prefixed.tilt_caps[0] != prefixed.tilt_caps[1]
+
     def test_cache_holds_at_most_its_bound(self):
         engine._cached_envelope.cache_clear()
         for i in range(engine.ENVELOPE_CACHE_SIZE + 8):
@@ -893,8 +922,8 @@ def test_merged_tilt_search_at_binding_figure_cap_matches_dense_grid():
     for side, kappas in (("eve", (0.95, 0.8, 0.6, 0.3)), ("bob", (1.05, 1.3, 1.6, 2.0))):
         envelope = engine._envelope(query, side)
         for kappa in kappas:
-            value, r_star, s_star = envelope(kappa)
-            best = max(envelope.evaluator(kappa, float(t), 0.0) for t in grid)
+            value, r_star, s_star = envelope.tilt_optimum(kappa)
+            best = max(envelope(kappa, float(t), 0.0) for t in grid)
             assert s_star == 0.0
             if side == "bob":
                 assert r_star == 0.0 and value == best

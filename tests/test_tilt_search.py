@@ -12,7 +12,7 @@ import pytest
 
 from wiretap_exponents import DiscreteChannel, ExponentQuery, WiretapPair, figures
 from wiretap_exponents.channel_core import lifted_cost
-from wiretap_exponents.exponent_engine import _E0Evaluator, _max_over_tilts, _swept_queries, _tilt_caps
+from wiretap_exponents.exponent_engine import _E0Evaluator, _max_over_tilts, _swept_queries
 from wiretap_exponents.solvers import scan_then_golden_max
 
 _PROBE_STEP = 1e-7
@@ -75,7 +75,7 @@ class _Recorder:
 
 
 def _assert_same_search(query, side, kappas, caps=None):
-    caps = _tilt_caps(query) if caps is None else caps
+    caps = query.tilt_caps if caps is None else caps
     merged = query.aux is None
     for kappa in kappas:
         new, old = _Recorder(query, side), _Recorder(query, side)
