@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
@@ -42,7 +43,7 @@ def _frozen_array(values, name="array"):
         raise ValueError(f"{name} must be an array of numbers, got None")
     try:
         a = np.array(values, dtype=np.float64)
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # a ragged nesting, a string, an int past the float range
         raise ValueError(f"{name} must be an array of numbers ({exc})") from exc
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite, got {a}")
@@ -56,6 +57,8 @@ def _finite_float(value, name="value"):
         x = float(value)
     except TypeError as exc:
         raise ValueError(f"{name} must be a number, got {value!r}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"{name} must be finite, got an int past the float range") from exc
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x}")
     return x
@@ -418,6 +421,21 @@ def is_more_capable(pair):
 _CONFIG_KEYS = {"bob", "eve", "costs", "gamma", "q"}
 
 
+def _json_number(value, name):
+    # An int or a float, never a bool: float() and numpy would also take a bool, a numeric string or null.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _json_array(value, name):
+    # Every entry of nested lists, at any depth, is a number. A value that is not a list (null, an object,
+    # a numpy array) is left to the key's own check, and so is a numpy array inside a list.
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            (_json_array if isinstance(item, (list, np.ndarray)) else _json_number)(item, f"{name}[{i}]")
+
+
 def parse_wiretap_config(doc):
     """Parse the JSON wiretap description used by the CLI.
 
@@ -433,11 +451,18 @@ def parse_wiretap_config(doc):
     missing = {"bob", "eve", "costs", "gamma"} - set(doc)
     if missing:
         raise ValueError(f"missing config keys: {sorted(missing)}")
-    bob = DiscreteChannel(doc["bob"])
-    eve = DiscreteChannel(doc["eve"])
-    pair = WiretapPair(bob, eve)
+    for key in ("bob", "eve", "costs", "q"):
+        _json_array(doc.get(key), key)
+    channels = []
+    for key in ("bob", "eve"):
+        try:
+            channels.append(DiscreteChannel(doc[key]))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    pair = WiretapPair(*channels)
     costs = _cost_vector(doc["costs"], pair.num_inputs)
-    out = {"pair": pair, "costs": costs, "gamma": _finite_float(doc["gamma"], "gamma"), "q": None}
+    gamma = _finite_float(_json_number(doc["gamma"], "gamma"), "gamma")
+    out = {"pair": pair, "costs": costs, "gamma": gamma, "q": None}
     if "q" in doc:
         out["q"] = _laws(doc["q"], "q")
         if out["q"].shape != (pair.num_inputs,):

@@ -196,24 +196,12 @@ def _lse_lines(out, terms):
     ]
 
 
-def _kept_lse_lines(out, names):
-    """Lines that set ``out`` to the sum of ``kappa * l`` over the names l that are > -inf.
-
-    The common case, every term kept, is inline; a dropped term sends the kept ones to ``_lse``.
-    """
-    if not names:
-        return [f"{out} = _lse([])"]
+def _y_sum_lines(names):
+    """Lines that set ``z`` to ``_lse`` of ``kappa * l`` over the y-sum names l, every term summed."""
     terms = [f"kappa * {name}" for name in names]
-    if len(names) == 2:
-        kept = [f"o0 = {terms[0]}", f"o1 = {terms[1]}", *_lse_lines(out, ["o0", "o1"])]
-    else:
-        kept = _lse_lines(out, terms)
-    return [
-        f"if {' and '.join(f'{name} > neg_inf' for name in names)}:",
-        *(f"    {line}" for line in kept),
-        "else:",
-        f"    {out} = _lse([kappa * l for l in ({', '.join(names)},) if l > neg_inf])",
-    ]
+    if len(terms) != 2:
+        return _lse_lines("z", terms)
+    return [f"o0 = {terms[0]}", f"o1 = {terms[1]}", *_lse_lines("z", ["o0", "o1"])]
 
 
 def _merged_kernel_lines(counts):
@@ -238,24 +226,24 @@ def _merged_kernel_lines(counts):
             body += [f"x{j} = a{j} + t * d{j}" for j in range(i, i + count)] + _lse_lines(f"ly{y}", terms)
             sums.append(f"ly{y}")
             i += count
-    body += _kept_lse_lines("z", sums)
+    body += _y_sum_lines(sums)
     return head + [f"    {line}" for line in body]
 
 
 def _prefix_kernel_lines(counts):
     # Floats per v (g, h) = (log q(v), gamma - cbar(v)), then per inner term
-    # (p, d) = (log aux(x|v) W(y|x), gamma - c(x)). Memo (kappa, r, full, c...):
-    # c = the inner x-sum over kappa per (y, v), None where it is dropped.
+    # (p, d) = (log aux(x|v) W(y|x), gamma - c(x)). Memo (kappa, r, c...):
+    # c = the inner x-sum over kappa per (y, v); a -inf one is kept, as it adds exactly 0.0 to the v-sum.
     vs, xs = range(len(counts[0])), range(sum(map(sum, counts)))
     sums = [(y, v, n) for y, row in enumerate(counts) for v, n in enumerate(row) if n]
     m = range(len(sums))
     memo = ", ".join(f"c{j}" for j in m)
     head = [
         f"{''.join(f'g{v}, h{v}, ' for v in vs)}{''.join(f'p{i}, d{i}, ' for i in xs)}= floats",
-        f"memo = (None,) * {len(m) + 3}",
+        f"memo = (None,) * {len(m) + 2}",
         "def kernel(kappa, r, s):",
         "    nonlocal memo",
-        f"    key_kappa, key_r, full, {memo} = memo",
+        f"    key_kappa, key_r, {memo} = memo",
         "    if key_kappa != kappa or key_r != r:",
         "        kr = kappa * r",
     ]
@@ -263,28 +251,17 @@ def _prefix_kernel_lines(counts):
     for j, (_, _, n) in enumerate(sums):
         terms = [f"x{k}" for k in range(i, i + n)]
         inner += [f"x{k} = p{k} + kr * d{k}" for k in range(i, i + n)] + _lse_lines(f"lx{j}", terms)
+        inner.append(f"c{j} = lx{j} / kappa")
         i += n
-    inner += [
-        f"if {' and '.join(f'lx{j} > neg_inf' for j in m)}:",
-        "    full = True",
-        *(f"    c{j} = lx{j} / kappa" for j in m),
-        "else:",
-        "    full = False",
-        *(f"    c{j} = lx{j} / kappa if lx{j} > neg_inf else None" for j in m),
-        f"memo = (kappa, r, full, {memo})",
-    ]
+    inner.append(f"memo = (kappa, r, {memo})")
     used = sorted({v for _, v, _ in sums})
-    body = [f"e{v} = g{v} + s * h{v}" for v in used]
-    every_kept, some_dropped, outer = [], [], []
+    body, outer = [f"e{v} = g{v} + s * h{v}" for v in used], []
     for y in range(len(counts)):
         row = [(v, j) for j, (y_, v, _) in enumerate(sums) if y_ == y]
         if row:
-            every_kept += [f"u{j} = e{v} + c{j}" for v, j in row] + _lse_lines(f"ly{y}", [f"u{j}" for _, j in row])
-            pairs = ", ".join(f"(e{v}, c{j})" for v, j in row)
-            some_dropped.append(f"ly{y} = _lse([e + c for e, c in ({pairs},) if c is not None])")
+            body += [f"u{j} = e{v} + c{j}" for v, j in row] + _lse_lines(f"ly{y}", [f"u{j}" for _, j in row])
             outer.append(f"ly{y}")
-    body += ["if full:", *(f"    {line}" for line in every_kept), "else:", *(f"    {line}" for line in some_dropped)]
-    body += _kept_lse_lines("z", outer)
+    body += _y_sum_lines(outer)
     return head + [f"        {line}" for line in inner] + [f"    {line}" for line in body]
 
 
@@ -333,9 +310,9 @@ class _E0Evaluator:
     evaluator binds its own floats to a compiled kernel. A sum of two
     terms, at each of the four levels (merged column, inner x-sum, outer
     v-sum, y-sum), is the closed form of ``_lse2`` inline; any other
-    length goes to ``_lse``. A term that is not > -inf is dropped from
-    the sum over v and from the y-sum, and then ``_lse`` sums the kept
-    terms.
+    length goes to ``_lse``. Every sum takes all of its terms: a -inf
+    term adds exactly 0.0, and a NaN (from an overflow to inf) carries
+    through to the final finite check, which raises.
 
     A one-entry memo keeps what a tilt search repeats at one order: the
     terms ``log q(x) + log W(y|x) / kappa`` keyed on kappa without a prefix,

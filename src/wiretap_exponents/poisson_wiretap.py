@@ -184,12 +184,26 @@ def secrecy_rate(params, q, rho):
     return _point(params.peak_eve, params.s_eve, q, -rho)[1]
 
 
+def _deviance(x, m, diff):
+    # x log(x/m) - x + m >= 0 (Loader's form), given diff = x - m exactly: near x = m it is
+    # diff v + 2x (v^3/3 + v^5/5 + ...) with v = diff / (x + m), so no two large terms cancel.
+    v = diff / (x + m)
+    if abs(v) >= 0.1:
+        return (x * math.log(x / m) if x > 0.0 else 0.0) - diff
+    total, term = diff * v, 2.0 * x * v
+    for j in range(3, 41, 2):  # |v| < 0.1: 19 terms reach 1e-38 of the first
+        term *= v * v
+        total += term / j
+    return total
+
+
 def _information_rate(peak, s, q):
-    # Per-second mutual information of the sliced channel in the delta->0 limit.
-    first = 0.0 if s == 0.0 else (1.0 - q) * s * math.log(s)
-    if q + s <= 0.0:
+    # Per-second mutual information of the sliced channel in the delta->0 limit: peak (q + s) D(P||Q),
+    # P = (q (1+s), (1-q) s) / (q + s) the on/off law given a count and Q = (q, 1-q) the duty law.
+    # Its two terms are q d(1+s, q+s) and (1-q) d(s, q+s), d the deviance, with x - m = 1-q and -q.
+    if q == 0.0:
         return 0.0
-    return peak * (-(q + s) * math.log(q + s) + q * (1.0 + s) * math.log1p(s) + first)
+    return peak * (q * _deviance(1.0 + s, q + s, 1.0 - q) + (1.0 - q) * _deviance(s, q + s, -q))
 
 
 def bob_zero_rate(params, q):

@@ -156,6 +156,17 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["residual"] < 1e-12
 
+    def test_poisson_capacity_at_a_large_dark_current(self, capsys):
+        # At s = 1e6 the log terms of each information rate are 1e14 times the rate; the 60-digit gap at q = 0.5
+        # is 9.3749945312534180e-08, and a form that cancels printed 9.12696123123169e-08.
+        code = cli.main(
+            ["poisson", "capacity", "--Ay", "1", "--Az", "0.5", "--ly", "1e6", "--lz", "1e6", "--gamma", "1"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["q_capped"] == 0.5
+        assert payload["value_nats_per_second"] == pytest.approx(9.3749945312534180e-08, rel=1e-12, abs=0.0)
+
     def test_gaussian_capacity(self, capsys):
         code = cli.main(
             ["gaussian", "capacity", "--Ay", "1", "--Az", "0.5", "--sy", "0.5", "--sz", "0.8", "--gamma", "0.5"]
@@ -510,6 +521,36 @@ class TestExitCodes:
         assert cli.main([command[0], "--config", str(path), *command[1:]]) == 2
         err = capsys.readouterr().err
         assert "precondition violation: " in err and message in err
+
+    @pytest.mark.parametrize(
+        "command", [["capacity"], ["exponents"], ["tradeoff", "--mechanism", "rate_shift", "--sweep", "0.1"]]
+    )
+    @pytest.mark.parametrize(
+        "update, message",
+        [
+            ({"gamma": True}, "gamma must be a number, got True"),
+            ({"gamma": "1.4"}, "gamma must be a number, got '1.4'"),
+            ({"costs": ["1", "2"]}, "costs[0] must be a number, got '1'"),
+            ({"costs": [True, 2.0]}, "costs[0] must be a number, got True"),
+            ({"bob": [["0.9", 0.1], [0.1, 0.9]]}, "bob[0][0] must be a number, got '0.9'"),
+            ({"eve": [[0.7, None], [0.3, 0.7]]}, "eve[0][1] must be a number, got None"),
+            ({"q": [None, 1]}, "q[0] must be a number, got None"),
+            ({"costs": [1.0, [2.0]]}, "costs must be an array of numbers"),
+            ({"costs": [1.0, 10**400]}, "costs must be an array of numbers"),
+            ({"gamma": 10**400}, "gamma must be finite, got an int past the float range"),
+        ],
+        ids=[
+            "gamma_true", "gamma_string", "costs_strings", "costs_bool", "bob_string", "eve_null", "q_null", "ragged",
+            "costs_int_past_float", "gamma_int_past_float",
+        ],
+    )
+    def test_a_config_entry_that_is_not_a_float_is_two(self, command, update, message, tmp_path, capsys):
+        # A bool, a numeric string or null passes float() and numpy as a number; the error names key and index,
+        # as it names the key of a ragged array. An int past the float range raised OverflowError (exit 1).
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**CONFIG, **update}))
+        assert cli.main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert f"precondition violation: {message}" in capsys.readouterr().err
 
     def test_bad_config_key_is_two(self, tmp_path):
         path = tmp_path / "bad.json"

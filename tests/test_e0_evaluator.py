@@ -83,8 +83,7 @@ class _OracleE0Evaluator:
             outer = []
             for col in self._plain_terms:
                 ly = _oracle_lse([lq + lw / kappa + t * dc for (lq, lw, dc) in col])
-                if ly > _NEG_INF:
-                    outer.append(kappa * ly)
+                outer.append(kappa * ly)
         else:
             outer = []
             for y in range(self._num_outputs):
@@ -94,11 +93,9 @@ class _OracleE0Evaluator:
                         continue
                     lq, dcb, per_y = entry
                     lx = _oracle_lse([lwp + kappa * r * dc for (lwp, dc) in per_y[y]])
-                    if lx > _NEG_INF:
-                        vs.append(lq + s * dcb + lx / kappa)
+                    vs.append(lq + s * dcb + lx / kappa)
                 ly = _oracle_lse(vs)
-                if ly > _NEG_INF:
-                    outer.append(kappa * ly)
+                outer.append(kappa * ly)
         val = -_oracle_lse(outer) - self._offset
         if not math.isfinite(val):
             raise RuntimeError(
@@ -184,21 +181,33 @@ def test_non_finite_values_raise_the_oracle_error(prefixed):
     assert raised > 0
 
 
-# Channels with zeros, so a sum has one, two or three terms (or none).
+@pytest.mark.parametrize("prefixed", [False, True], ids=["plain", "prefix"])
+def test_an_overflowed_term_raises_instead_of_being_dropped(prefixed):
+    # At s = 1e300 Eve's y = 0 column sums an overflowed term (1e300 * 2.25e8 is inf) and a finite one
+    # (1e300 * 7.5e7): that sum is +inf, so E0 is -inf. Dropping the column's NaN gave -3.75e307.
+    pair = WiretapPair(DiscreteChannel(_EDGE_CHANNELS["bsc"]), DiscreteChannel(_EDGE_CHANNELS["z"]))
+    aux = DiscreteChannel(np.eye(2)) if prefixed else None
+    query = ExponentQuery(pair, [0.5, 0.5], [0.0, 1.5e8], 2.25e8, aux=aux)
+    with pytest.raises(RuntimeError, match="tilt arguments out of range"):
+        engine.resolvability_e0(0.5, query, 0.0, 1e300)
+
+
+# Channels with zeros, so a sum has one, two or three terms (or none); one output makes a one-term y-sum.
 _EDGE_CHANNELS = {
     "bsc": [[0.9, 0.1], [0.1, 0.9]],
     "z": [[1.0, 0.0], [0.2, 0.8]],
     "erasure": [[0.7, 0.3, 0.0], [0.0, 0.4, 0.6]],
     "ternary": [[0.6, 0.4], [0.0, 1.0], [0.3, 0.7]],
     "ternary_zeros": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]],
+    "one_output": [[1.0], [1.0]],
 }
 
 
 def _edge_queries():
-    # Binary and mixed pairs, with and without a prefix (one with a zero),
+    # Binary and mixed pairs and a one-output Eve, with and without a prefix (one with a zero),
     # a uniform q and one with a zero, unit and 1.5e8 cost steps, binding
     # and slack caps. With 1e300 tilts, the 1.5e8 steps overflow the terms.
-    for bob, eve in (("bsc", "z"), ("z", "erasure"), ("ternary", "ternary_zeros")):
+    for bob, eve in (("bsc", "z"), ("z", "erasure"), ("ternary", "ternary_zeros"), ("bsc", "one_output")):
         pair = WiretapPair(DiscreteChannel(_EDGE_CHANNELS[bob]), DiscreteChannel(_EDGE_CHANNELS[eve]))
         k = pair.num_inputs
         prefixes = (None, np.eye(k), [[1.0 / k] * k, [1.0] + [0.0] * (k - 1)])

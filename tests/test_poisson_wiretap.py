@@ -167,6 +167,21 @@ class TestRateMaps:
         per_use = mutual_information([1 - q, q], d.pair.bob)
         assert pw.bob_zero_rate(params, q) == pytest.approx(per_use / delta, rel=1e-3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.floats(0.0, 1e8), q=st.floats(1e-12, 1.0))
+    def test_information_rate_matches_50_digits(self, s, q):
+        # (q + s) D(P||Q) at 50 digits, P = (q (1+s), (1-q) s) / (q + s) and Q = (q, 1-q). The float form
+        # q (1+s) log(1+s) + (1-q) s log s - (q+s) log(q+s) cancels: at s = 1e6 its terms are 1e14 times the rate.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            ms, mq = mpmath.mpf(s), mpmath.mpf(q)
+            mean = mq + ms
+            exact = mq * (1 + ms) * mpmath.log((1 + ms) / mean)
+            if s > 0.0:
+                exact += (1 - mq) * ms * mpmath.log(ms / mean)
+            exact = float(2.5 * exact)
+        assert abs(pw._information_rate(2.5, s, q) - exact) <= 1e-13 * exact
+
 
     def test_large_dark_ratio_at_small_tilt_order(self):
         # (1 + s)^(1 / kappa) overflows a float at s = 2, kappa = 0.001.
