@@ -221,10 +221,39 @@ class WiretapPair(_Value):
 
 
 def _mutual_informations(q, rows):
-    """I(q, W) in nats for one law (shape (k,)) or a stack of laws (shape (n, k)); unvalidated.
+    """I(q, W) in nats for one law (shape (k,)) or a stack of laws (shape (n, k)); unvalidated, q >= 0.
 
     One law may also take a stack of channels (shape (c, k, m)), each
     scored with the bits of its own call.
+
+    When every channel entry and every output marginal is at least the
+    least normal float, every ratio W(y|x) / qW(y) is finite and positive,
+    so no term needs a mask: a letter with q(x) = 0 gives a signed-zero
+    term, which changes no nonzero sum, and the maximum with 0.0 turns a
+    -0.0 sum into +0.0. Those are the bits of ``_masked_informations``,
+    which scores every other case (zero, tiny or below-zero channel
+    entries, a subnormal marginal, NaN). A law with an entry below zero
+    would make a negative joint, which only the mask leaves out: every
+    search law is at least zero, and ``mutual_information``, whose checked
+    law may dip below zero within PROB_TOL, calls the masked kernel.
+
+    numpy multiplies one law and a stack through different BLAS routines,
+    so a law's value in a stack can differ from its own in the last bit.
+    """
+    marginal = (q @ rows)[..., None, :]
+    if not (np.minimum.reduce(rows, axis=None) >= _TINY and np.minimum.reduce(marginal, axis=None) >= _TINY):
+        return _masked_informations(q, rows, marginal)
+    ratio = rows / marginal
+    np.log(ratio, out=ratio)
+    ratio *= q[..., :, None] * rows
+    return np.maximum(np.add.reduce(ratio.reshape(ratio.shape[:-2] + (-1,)), axis=-1), 0.0)
+
+
+def _masked_informations(q, rows, marginal):
+    """``_mutual_informations`` for any law and channel within PROB_TOL of the simplex.
+
+    ``marginal`` is the output law qW with an axis for the input letter,
+    ``(q @ rows)[..., None, :]``.
 
     A term counts only where its joint mass q(x) W(y|x) is positive. There
     the ratio W(y|x) / qW(y) is positive: the output marginal is at least
@@ -236,16 +265,12 @@ def _mutual_informations(q, rows):
     happens, so no floating-point state needs silencing. The terms are
     summed in row-major order, the order the values of this package were
     recorded with.
-
-    numpy multiplies one law and a stack through different BLAS routines,
-    so a law's value in a stack can differ from its own in the last bit.
     """
     joint = q[..., :, None] * rows
     mask = joint > 0.0
-    marginal = (q @ rows)[..., None, :]
     denominator = np.where(mask & (marginal > 0.0), marginal, 1.0)
     # W / d rounds to inf exactly when W >= d 2^1024 (compared scaled), so only for a subnormal d.
-    if subnormal := denominator.min() < _TINY:
+    if subnormal := np.minimum.reduce(denominator, axis=None) < _TINY:
         over = rows * 2.0**-60 >= denominator * 2.0**964
         tiny_marginals = denominator[over]
         denominator[over] = 1.0
@@ -255,7 +280,7 @@ def _mutual_informations(q, rows):
     if subnormal:
         ratio[over] -= np.log(tiny_marginals)
     ratio *= joint
-    return np.maximum(ratio.reshape(ratio.shape[:-2] + (-1,)).sum(axis=-1), 0.0)
+    return np.maximum(np.add.reduce(ratio.reshape(ratio.shape[:-2] + (-1,)), axis=-1), 0.0)
 
 
 def _divergences(rows, ref):
@@ -280,7 +305,8 @@ def mutual_information(q, channel):
     W = channel.rows
     if q.shape[0] != W.shape[0]:
         raise ValueError(f"input dimension {q.shape[0]} does not match channel inputs {W.shape[0]}")
-    return float(_mutual_informations(q, W))
+    # A checked law may hold entries just below zero (within PROB_TOL): the masked kernel leaves them out.
+    return float(_masked_informations(q, W, (q @ W)[None, :]))
 
 
 def concatenate(aux, channel):
@@ -313,16 +339,28 @@ class MoreCapableResult(_Value):
         return self.holds
 
 
-def _info_gap(q, bob_rows, eve_rows):
-    """I(q, W_bob) - I(q, W_eve) for one law or a stack of laws; unvalidated.
+def _channel_pair(bob_rows, eve_rows):
+    """The channels of ``_info_gap``: one (2, k, m) stack when the output alphabets match, else (bob, eve).
 
-    One law is one kernel call on the stacked channels, with the bits of
-    two, when their output alphabets match. A stack of laws, whose arrays
-    outweigh a call's overhead, takes a call per channel.
+    A search builds it once and passes it to every gap it scores.
     """
-    if q.ndim == 1 and bob_rows.shape == eve_rows.shape:
-        info = _mutual_informations(q, np.array((bob_rows, eve_rows)))
+    if bob_rows.shape == eve_rows.shape:
+        return np.array((bob_rows, eve_rows))
+    return bob_rows, eve_rows
+
+
+def _info_gap(q, channels):
+    """I(q, W_bob) - I(q, W_eve) for one law or a stack of laws; unvalidated, q >= 0.
+
+    ``channels`` is ``_channel_pair(bob, eve)``. One law on a stack is one
+    kernel call, with the bits of two. A stack of laws, whose arrays
+    outweigh a call's overhead, or channels with different output
+    alphabets take a call per channel.
+    """
+    if q.ndim == 1 and isinstance(channels, np.ndarray):
+        info = _mutual_informations(q, channels)
         return info[0] - info[1]
+    bob_rows, eve_rows = channels
     return _mutual_informations(q, bob_rows) - _mutual_informations(q, eve_rows)
 
 
@@ -336,16 +374,17 @@ def _binary_gap_optimum(bob, eve, lo, hi, sign):
     time, and the first best of those is the scan's first best; golden
     section then scores the bracket ends one law at a time too.
     """
+    channels = _channel_pair(bob, eve)
 
     def gap(t):
-        return sign * _info_gap(np.array([1.0 - t, t]), bob, eve)
+        return sign * _info_gap(np.array([1.0 - t, t]), channels)
 
     if hi <= lo:
         t_star, best = lo, gap(lo)
     else:
         n = BINARY_SCAN_POINTS
         ts = lo + (hi - lo) * np.arange(n) / (n - 1)
-        stacked = sign * _info_gap(np.stack([1.0 - ts, ts], axis=1), bob, eve)
+        stacked = sign * _info_gap(np.stack([1.0 - ts, ts], axis=1), channels)
         near = np.flatnonzero(stacked >= stacked.max() - STACK_DRIFT)
         # A NaN gap makes the best NaN, and no cell is near it: then every cell is re-scored.
         k = max(near if near.size else range(n), key=lambda i: gap(float(ts[i])))
@@ -370,9 +409,9 @@ def _simplex_blocks(k, r):
 
 def _grid_minimum(bob, eve):
     # The first minimum of the gap over the simplex grid, scored in array blocks.
-    worst, gap = None, math.inf
+    worst, gap, channels = None, math.inf, _channel_pair(bob, eve)
     for laws in _simplex_blocks(bob.shape[0], _simplex_resolution(bob.shape[0])):
-        gaps = _info_gap(laws, bob, eve)
+        gaps = _info_gap(laws, channels)
         i = int(np.argmin(gaps))
         if gaps[i] < gap:
             worst, gap = laws[i], gaps[i]
@@ -398,6 +437,7 @@ def is_more_capable(pair):
         # refinement around the worst grid point, until a sweep lowers
         # nothing (a later sweep would repeat its searches), at most three.
         worst, gap = _grid_minimum(bob, eve)
+        channels = _channel_pair(bob, eve)
         for _ in range(3):
             start = gap
             for i, j in itertools.permutations(range(k), 2):
@@ -410,7 +450,7 @@ def is_more_capable(pair):
                     q[i], q[j] = t, budget - t
                     return q
 
-                t_star, g = golden_min(lambda t: _info_gap(moved(t), bob, eve), 0.0, budget, tol=1e-10)
+                t_star, g = golden_min(lambda t: _info_gap(moved(t), channels), 0.0, budget, tol=1e-10)
                 if g < gap:
                     worst, gap = moved(t_star), g
             if gap == start:
@@ -459,14 +499,17 @@ def parse_wiretap_config(doc):
             channels.append(DiscreteChannel(doc[key]))
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from exc
-    pair = WiretapPair(*channels)
+    bob, eve = channels
+    if eve.num_inputs != bob.num_inputs:
+        raise ValueError(f"eve: {eve.num_inputs} input letters, bob has {bob.num_inputs}")
+    pair = WiretapPair(bob, eve)
     costs = _cost_vector(doc["costs"], pair.num_inputs)
     gamma = _finite_float(_json_number(doc["gamma"], "gamma"), "gamma")
     out = {"pair": pair, "costs": costs, "gamma": gamma, "q": None}
     if "q" in doc:
         out["q"] = _laws(doc["q"], "q")
         if out["q"].shape != (pair.num_inputs,):
-            raise ValueError("q length does not match the input alphabet")
+            raise ValueError(f"q: {out['q'].shape[0]} entries for {pair.num_inputs} input letters")
     return out
 
 

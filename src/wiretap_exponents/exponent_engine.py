@@ -35,6 +35,7 @@ from .channel_core import (
     DiscreteChannel,
     WiretapPair,
     _binary_gap_optimum,
+    _channel_pair,
     _checked,
     _cost_vector,
     _divergences,
@@ -702,14 +703,15 @@ def _best_input_gradient(pair, costs, gamma, seed):
     # Multi-start projected gradient ascent: a step that raises the gap is
     # taken and the next one doubled; any other step is halved instead.
     bob, eve = pair.bob.rows, pair.eve.rows
+    channels = _channel_pair(bob, eve)
     rng = np.random.default_rng(seed)
     best_q, best = None, -math.inf
     for _ in range(GRADIENT_STARTS):
         q = _project_feasible(rng.dirichlet(np.ones(pair.num_inputs)), costs, gamma)
-        step, val, grad = 0.25, _info_gap(q, bob, eve), _gap_gradient(q, bob, eve)
+        step, val, grad = 0.25, _info_gap(q, channels), _gap_gradient(q, bob, eve)
         for _ in range(GRADIENT_ITERS):
             q_new = _project_feasible(q + step * grad, costs, gamma)
-            val_new = _info_gap(q_new, bob, eve)
+            val_new = _info_gap(q_new, channels)
             if val_new > val:
                 q, val, grad = q_new, val_new, _gap_gradient(q_new, bob, eve)
                 step *= 2.0
@@ -724,8 +726,8 @@ def _best_input_gradient(pair, costs, gamma, seed):
 
 def _softmax(logits):
     # Over the last axis.
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _aux_search(pair, costs, gamma, aux_dim, seed):
@@ -739,6 +741,9 @@ def _aux_search(pair, costs, gamma, aux_dim, seed):
     """
     k = pair.num_inputs
     rng = np.random.default_rng(seed)
+    # The effective channels V->Y and V->Z: one broadcast product when the pair is stacked.
+    channels = _channel_pair(pair.bob.rows, pair.eve.rows)
+    stacked = isinstance(channels, np.ndarray)
 
     def decode(theta):
         return _softmax(theta[:aux_dim]), _softmax(theta[aux_dim:].reshape(aux_dim, k))
@@ -747,7 +752,7 @@ def _aux_search(pair, costs, gamma, aux_dim, seed):
         qv, rows = decode(theta)
         if float(qv @ rows @ costs) > gamma + 1e-12:
             return -math.inf
-        return _info_gap(qv, rows @ pair.bob.rows, rows @ pair.eve.rows)
+        return _info_gap(qv, rows @ channels if stacked else (rows @ channels[0], rows @ channels[1]))
 
     dim = aux_dim + aux_dim * k
     best = (-math.inf, None, None)

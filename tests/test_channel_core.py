@@ -203,6 +203,49 @@ class TestKernelOracle:
 
 
 @st.composite
+def positive_kernel_cases(draw):
+    # (q, rows): strictly positive channels, so every entry and marginal is normal, and laws
+    # from MASSES, which may hold zero letters: one law (on one channel or a stack of two) or a stack of laws.
+    k, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n = draw(st.sampled_from([None, None, 1, 2, 7]))
+    channels = draw(st.sampled_from([None, 2])) if n is None else None
+    rows = np.array([draw(st.lists(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m), min_size=k, max_size=k))
+                     for _ in range(channels or 1)])
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return draw(laws(k, n)), rows if channels else rows[0]
+
+
+class TestMaskFreePath:
+    @given(positive_kernel_cases())
+    @example((np.array([1.0, 0.0]), np.array([[0.5, 0.5], [0.2, 0.8]])))
+    @example((np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.25, 0.75], [0.25, 0.75]])))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_the_errstate_kernel_without_floating_point_errors(self, case):
+        # Every ratio is finite and positive, so the kernel takes its mask-free path; a zero
+        # letter's term is a signed zero there. The floating-point rule is TestKernelOracle's.
+        q, rows = case
+        assert rows.min() >= channel_core._TINY and (q @ rows).min() >= channel_core._TINY
+        with np.errstate(under="ignore"):
+            joint = q[..., :, None] * rows
+        tiny = ((q[..., :, None] > 0.0) & (joint < TINY_JOINT)).any()
+        with np.errstate(all="raise", under="ignore" if tiny else "raise"):
+            got = channel_core._mutual_informations(q, rows)
+        want = errstate_mutual_informations(q, rows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_the_maximum_with_zero_clears_a_negative_zero(self):
+        # The mask-free path sums signed-zero terms; its maximum with 0.0 must return +0.0 for -0.0.
+        for value in (np.float64(-0.0), np.full(3, -0.0), np.full(40, -0.0)):
+            assert not np.signbit(np.maximum(value, 0.0)).any()
+
+    def test_a_law_below_zero_keeps_the_masked_bits(self):
+        # A checked law may hold -1e-13: its joints are negative, and only the mask leaves them out.
+        q, channel = np.array([-1e-13, 1.0 + 1e-13]), DiscreteChannel.bsc(0.1)
+        want = errstate_mutual_informations(q, channel.rows)
+        assert want > 0.0 and mutual_information(q, channel) == want
+
+
+@st.composite
 def gap_cases(draw):
     # (q, bob, eve): one law or a stack of laws on k <= 16 letters, and two
     # k-input channels with the same or different output alphabets.
@@ -229,7 +272,7 @@ class TestStackedGap:
     @settings(max_examples=120, deadline=None)
     def test_gap_is_two_errstate_kernels_bit_for_bit(self, case):
         q, bob, eve = case
-        got = channel_core._info_gap(q, bob, eve)
+        got = channel_core._info_gap(q, channel_core._channel_pair(bob, eve))
         with np.errstate(over="ignore"):
             want = errstate_mutual_informations(q, bob) - errstate_mutual_informations(q, eve)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -247,8 +290,44 @@ class TestStackedGap:
         monkeypatch.setattr(channel_core, "_mutual_informations", counted)
         rng = np.random.default_rng(1)
         q = rng.dirichlet(np.ones(3), size=n)
-        channel_core._info_gap(q, rng.dirichlet(np.ones(3), size=3), rng.dirichlet(np.ones(m_eve), size=3))
+        channel_core._info_gap(q, channel_core._channel_pair(rng.dirichlet(np.ones(3), size=3), rng.dirichlet(np.ones(m_eve), size=3)))
         assert len(seen) == calls and (calls == 2 or seen == [(2, 3, 3)])
+
+    def test_one_broadcast_product_keeps_the_bits_of_two(self):
+        # The auxiliary search multiplies its V->X channel into the stacked pair at once.
+        rng = np.random.default_rng(7)
+        for k, m, aux_dim in itertools.product(range(1, 9), range(1, 9), range(1, 5)):
+            bob, eve = rng.dirichlet(np.ones(m), size=k), rng.dirichlet(np.ones(m), size=k)
+            rows = engine._softmax(rng.normal(scale=2.0, size=(aux_dim, k)))
+            want = np.array((rows @ bob, rows @ eve))
+            assert (rows @ channel_core._channel_pair(bob, eve)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "k, degraded, searches", [(2, True, 2), (2, False, 2), (3, True, 3), (3, False, 3), (4, True, 3)]
+    )
+    def test_each_search_stacks_its_pair_once(self, k, degraded, searches, monkeypatch):
+        # One stack per search: the binary scan or the simplex grid and its refinement, then the
+        # binary, gradient or auxiliary capacity search; every gap of a search scores that stack.
+        builds, gaps = [], []
+        build, gap = channel_core._channel_pair, channel_core._info_gap
+
+        def counted_build(bob, eve):
+            builds.append(bob.shape)
+            return build(bob, eve)
+
+        def counted_gap(q, channels):
+            gaps.append(q.shape)
+            return gap(q, channels)
+
+        for module in (channel_core, engine):
+            monkeypatch.setattr(module, "_channel_pair", counted_build)
+            monkeypatch.setattr(module, "_info_gap", counted_gap)
+        rng = np.random.default_rng(k)
+        bob = rng.dirichlet(np.ones(k), size=k)
+        eve = bob @ rng.dirichlet(np.ones(k), size=k) if degraded else np.eye(k)
+        result = engine.secrecy_capacity(WiretapPair(DiscreteChannel(bob), DiscreteChannel(eve)), np.ones(k), 1.0)
+        assert result.more_capable == degraded
+        assert len(builds) == searches and len(gaps) > 10 * searches
 
 
 # A subnormal mass t on a letter whose outputs no other letter reaches: the
@@ -443,7 +522,7 @@ class TestMoreCapable:
 def one_law_gap_optimum(bob, eve, lo, hi, sign):
     # The binary gap optimum scanned one law at a time: the bitwise oracle of the stacked scan.
     t_star, best = solvers.scan_then_golden_max(
-        lambda t: sign * channel_core._info_gap(np.array([1.0 - t, t]), bob, eve),
+        lambda t: sign * channel_core._info_gap(np.array([1.0 - t, t]), channel_core._channel_pair(bob, eve)),
         lo,
         hi,
         scan_points=channel_core.BINARY_SCAN_POINTS,
@@ -522,7 +601,7 @@ def three_sweeps(bob, eve):
                 q[i], q[j] = t, budget - t
                 return q
 
-            t_star, g = solvers.golden_min(lambda t: channel_core._info_gap(moved(t), bob, eve), 0.0, budget, tol=1e-10)
+            t_star, g = solvers.golden_min(lambda t: channel_core._info_gap(moved(t), channel_core._channel_pair(bob, eve)), 0.0, budget, tol=1e-10)
             searches += 1
             if g < gap:
                 worst, gap = moved(t_star), g

@@ -552,6 +552,25 @@ class TestExitCodes:
         assert cli.main([command[0], "--config", str(path), *command[1:]]) == 2
         assert f"precondition violation: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["capacity"], ["exponents"], ["tradeoff", "--mechanism", "rate_shift", "--sweep", "0.1"]]
+    )
+    @pytest.mark.parametrize(
+        "update, message",
+        [
+            ({"eve": [[0.7, 0.3], [0.3, 0.7], [0.5, 0.5]]}, "eve: 3 input letters, bob has 2"),
+            ({"q": [0.5, 0.3, 0.2]}, "q: 3 entries for 2 input letters"),
+        ],
+        ids=["eve_three_inputs", "q_three_entries"],
+    )
+    def test_a_size_mismatch_names_its_key_and_both_sizes(self, command, update, message, tmp_path, capsys):
+        # These said 'channels must share the input alphabet: 2 vs 3' and 'q length does not match the
+        # input alphabet', naming neither key nor, for q, either length.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**CONFIG, **update}))
+        assert cli.main([command[0], "--config", str(path), *command[1:]]) == 2
+        assert f"precondition violation: {message}" in capsys.readouterr().err
+
     def test_bad_config_key_is_two(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CONFIG, "zzz": 1}))

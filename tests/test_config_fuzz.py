@@ -6,9 +6,12 @@ and about half the runs have one value replaced by an edge (0, +-1,
 5e-324, 1e-310, 1e-300, 1e300, 1e308, NaN or +-inf), for every tradeoff
 mechanism. Each run must exit 0, 2 or 3 with no exception escaping and
 no RuntimeWarning, and write finite numbers on exit 0 (see
-test_ensemble_fuzz.run_cli).
+test_ensemble_fuzz.run_cli). A type mutation replaces one value, row or
+entry of a valid config with a JSON value of the wrong type; each such
+run must exit 2 and name the key on stderr.
 """
 
+import copy
 import json
 
 from hypothesis import example, given, settings
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from test_acceptance import Budget
 from test_ensemble_fuzz import run_cli, with_edge
+from wiretap_exponents import cli
 from wiretap_exponents.exponent_engine import MECHANISMS
 
 # The cost cap is drawn as its slack over the expected cost.
@@ -63,3 +67,37 @@ def _fuzz(command, values, edge, sweep_size, points, tmp_dir):
 def test_exponents_and_tradeoff_exit_0_2_or_3_with_finite_numbers(tmp_path):
     with Budget("exponents and tradeoff fuzz: 400 configs and 6 examples", 10.0):
         _fuzz(tmp_dir=tmp_path)
+
+
+VALID = {"bob": [[0.9, 0.1], [0.1, 0.9]], "eve": [[0.7, 0.3], [0.3, 0.7]], "costs": [1.0, 2.0], "gamma": 1.4,
+         "q": [0.6, 0.4]}
+COMMANDS = {"capacity": [], "exponents": [], "tradeoff": ["--mechanism=rate_shift", "--sweep=0.1"]}
+
+
+@st.composite
+def type_mutations(draw):
+    """(key, config): VALID with one key's value, one of its rows or one entry replaced by a value of the wrong
+    type, or by itself one list deeper."""
+    doc = copy.deepcopy(VALID)
+    key = draw(st.sampled_from(sorted(VALID)))
+    parent, index = doc, key
+    while isinstance(parent[index], list) and draw(st.booleans()):
+        parent, index = parent[index], draw(st.integers(0, len(parent[index]) - 1))
+    parent[index] = draw(st.sampled_from([True, False, None, "1", [], {}, [parent[index]]]))
+    return key, doc
+
+
+@given(command=st.sampled_from(sorted(COMMANDS)), mutation=type_mutations())
+@settings(max_examples=150, deadline=None)
+def _type_fuzz(command, mutation, tmp_dir, capsys):
+    key, doc = mutation
+    config = tmp_dir / "config.json"
+    config.write_text(json.dumps(doc))
+    code = run_cli([command, f"--config={config}", *COMMANDS[command]], tmp_dir / "out.json")
+    assert code == cli.EXIT_PRECONDITION, doc
+    assert f"precondition violation: {key}" in capsys.readouterr().err, doc
+
+
+def test_a_config_value_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsys):
+    with Budget("config type mutations: 150 configs", 4.0):
+        _type_fuzz(tmp_dir=tmp_path, capsys=capsys)
