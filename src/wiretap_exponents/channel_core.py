@@ -221,27 +221,28 @@ class WiretapPair(_Value):
 
 
 def _mutual_informations(q, rows):
-    """I(q, W) in nats for one law (shape (k,)) or a stack of laws (shape (n, k)); unvalidated, q >= 0.
+    """I(q, W) in nats for one law (shape (k,)) or a stack of laws (shape (n, k)); unvalidated, q >= 0, sum 1.
 
     One law may also take a stack of channels (shape (c, k, m)), each
     scored with the bits of its own call.
 
-    When every channel entry and every output marginal is at least the
-    least normal float, every ratio W(y|x) / qW(y) is finite and positive,
-    so no term needs a mask: a letter with q(x) = 0 gives a signed-zero
-    term, which changes no nonzero sum, and the maximum with 0.0 turns a
-    -0.0 sum into +0.0. Those are the bits of ``_masked_informations``,
-    which scores every other case (zero, tiny or below-zero channel
-    entries, a subnormal marginal, NaN). A law with an entry below zero
-    would make a negative joint, which only the mask leaves out: every
-    search law is at least zero, and ``mutual_information``, whose checked
-    law may dip below zero within PROB_TOL, calls the masked kernel.
+    When every channel entry is at least the least normal float, so is
+    every output marginal qW(y) >= min_x W(y|x) of a law that sums to 1,
+    and every ratio W(y|x) / qW(y) is finite and positive, so no term
+    needs a mask: a letter with q(x) = 0 gives a signed-zero term, which
+    changes no nonzero sum, and the maximum with 0.0 turns a -0.0 sum
+    into +0.0. Those are the bits of ``_masked_informations``, which
+    scores every other channel (zero, tiny, below-zero or NaN entries).
+    A law with an entry below zero would make a negative joint, which
+    only the mask leaves out: every search law is at least zero, and
+    ``mutual_information``, whose checked law may dip below zero within
+    PROB_TOL, calls the masked kernel.
 
     numpy multiplies one law and a stack through different BLAS routines,
     so a law's value in a stack can differ from its own in the last bit.
     """
     marginal = (q @ rows)[..., None, :]
-    if not (np.minimum.reduce(rows, axis=None) >= _TINY and np.minimum.reduce(marginal, axis=None) >= _TINY):
+    if not np.minimum.reduce(rows, axis=None) >= _TINY:
         return _masked_informations(q, rows, marginal)
     ratio = rows / marginal
     np.log(ratio, out=ratio)

@@ -24,7 +24,8 @@ opposite sides of a shared expression.
 
 Rates and exponents are nats per channel use. The explicit beta form is
 shared by one reliability and one secrecy variant. It is evaluated from
-the rate in u = 1/beta, so it stays finite at every rate. Both parametric
+the rate in u = 1/beta, its log term as an asinh, so it stays finite at
+every rate and loses no accuracy at a small SNR. Both parametric
 variants evaluate one parametric form, the reliability one at +rho and
 the secrecy one at -rho.
 """
@@ -32,7 +33,7 @@ the secrecy one at -rho.
 import math
 from dataclasses import dataclass
 
-from .channel_core import _checked, _finite_float, _Value
+from .channel_core import _TINY, _checked, _finite_float, _Value
 from .solvers import bisect_root
 
 CRITICAL_TOL = 1e-12
@@ -83,25 +84,19 @@ def _explicit_form(snr, rate):
 
     It is the form in beta = exp(2 * rate) = 1/u with beta factored out of
     the log argument, so no term overflows at any finite rate. With
-    a = snr (1 - u) and root = sqrt(1 + 4 / a), the log argument
-    1 - a (root - 1) / 2 is taken as 4 / (a (root + 1)^2), its value with
-    no subtraction: at a large SNR the difference cancels to rounding
-    noise, which can be negative. It is guarded anyway. The first term
-    snr ((1 + u) - (1 - u) root) / 4 cancels the same way and is taken as
-    snr u / 2 - 1 / (root + 1), since a (root - 1) = 4 / (root + 1).
+    a = snr (1 - u) and r = sqrt(a) it is
+    rate + snr u / 2 - r / (r + sqrt(a + 4)) - asinh(r / 2): the log term
+    is exactly -asinh(r / 2), and r / (r + sqrt(a + 4)) is
+    1 / (1 + sqrt(1 + 4 / a)) with no 4 / a to overflow.
     """
     if not rate > 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
     u = math.exp(-2.0 * rate)
     a = -snr * math.expm1(-2.0 * rate)  # snr (1 - u), which rounds to 0 where u rounds to 1
-    if a == 0.0 or 4.0 / a == math.inf:
+    if not a >= _TINY:
         raise ValueError(f"snr (1 - exp(-2 rate)) = {a} is too small for a float form at snr={snr}, rate={rate}")
-    root = math.sqrt(1.0 + 4.0 / a)
-    first = 0.5 * snr * u - 1.0 / (root + 1.0)
-    inside = 4.0 / (a * (root + 1.0) ** 2)
-    if inside <= 0.0:
-        raise RuntimeError(f"log argument {inside} not positive at snr={snr}, rate={rate}")
-    return first + 0.5 * math.log(inside) + rate
+    r = math.sqrt(a)
+    return (rate + 0.5 * snr * u) - (r / (r + math.sqrt(a + 4.0)) + math.asinh(0.5 * r))
 
 
 def _parametric_rate(snr, rho):

@@ -16,15 +16,15 @@ every formula below leans on the induced concavity.
 
 Both sides evaluate one form at tilt order kappa = 1 + rho, with rho
 positive for reliability and negative for secrecy: the exponent base
-``peak (q + s - g(kappa)^kappa)``, its rho-derivative as the paired rate,
-and the curve point ``(rate, base - rho * rate)``.
-
-Evaluations use the algebraic form
-``((1-q) s^(1/k) + q (1+s)^(1/k))^k`` rather than the equivalent
-ratio form with (1 + 1/s) factors: it stays finite and continuous all
-the way to s = 0 (zero dark current), with the convention
-s^a * log(s) -> 0. Its inner sum is taken in the log domain, so small
-tilt orders k do not overflow.
+``peak (q + s - g^kappa)``, g = (1-q) s^(1/kappa) + q (1+s)^(1/kappa),
+its rho-derivative as the paired rate, and the curve point
+``(rate, base - rho * rate)``. ``_point`` takes all of them from one
+identity. With P the shares of g's two terms, Q = (q, 1-q) the duty law
+and l = log(P/Q), q + s = g^kappa E_P[e^(rho l)], so the rate is
+``peak g^kappa D(P||Q)`` and the curve exponent
+``peak g^kappa E_P[e^(rho l) - 1 - rho l]``: sums of nonnegative terms,
+each in Loader's deviance form near l = 0, with no difference of large
+terms at any s, q or rho. At rho = 0 the rate is the information rate.
 """
 
 import math
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_core import CostedInput, DiscreteChannel, WiretapPair, _checked, _finite_float, _frozen_array, _Value
-from .exponent_engine import ExponentCurve, RHO_EPS, _check_rho, _lse
+from .exponent_engine import ExponentCurve, RHO_EPS, _check_rho
 from .solvers import bisect_root
 
 # The secrecy curves stop at this rho; its rates grow without bound as rho -> 1.
@@ -117,53 +117,55 @@ def discretize(params, delta):
     return DiscretizedPoisson(pair, np.array([0.0, 1.0]), params.gamma, delta)
 
 
-def _log_tilted_mean(q, s, kappa):
-    # log g(kappa), g = (1-q) s^(1/kappa) + q (1+s)^(1/kappa), and the shares
-    # of its two terms, in the log domain: (1+s)^(1/kappa) overflows as
-    # kappa -> 0. log g is -inf when g = 0 (q = 0 and s = 0).
-    logs = (
-        math.log1p(-q) + math.log(s) / kappa if q < 1.0 and s > 0.0 else -math.inf,
-        math.log(q) + math.log1p(s) / kappa if q > 0.0 else -math.inf,
-    )
-    log_g = _lse(logs)
-    if log_g == -math.inf:
-        return log_g, (0.0, 0.0)
-    return log_g, tuple(math.exp(a - log_g) for a in logs)
-
-
 def _check_duty(params, q):
     if not 0.0 <= q <= params.gamma:
         raise ValueError(f"duty probability must be in [0, {params.gamma}], got {q}")
 
 
 def _point(peak, s, q, rho):
-    # (base, rate) at kappa = 1 + rho; rho < 0 is the secrecy side. The base is
-    # peak (q + s - g^kappa) and the rate its rho-derivative,
-    # peak g^kappa (part / (g kappa) - log g), where dg/dkappa = -part / kappa^2
-    # with part = (1-q) s^(1/k) log s + q (1+s)^(1/k) log(1+s). part / g is the
-    # share-weighted mean of log s and log(1+s), and s^a log s -> 0 at s = 0.
+    # (curve exponent, rate) at kappa = 1 + rho, rho < 0 on the secrecy side; see the module docstring. With
+    # e = (s/(1+s))^(1/kappa) = exp(-u), g = (1+s)^(1/kappa) mix, mix = q + (1-q) e = 1 - a and the shares
+    # P = (q, (1-q) e) / mix, whose log ratios to Q are log_on and log_off; P_on - q = q a / mix.
+    if q == 0.0 or q == 1.0:  # P = Q
+        return 0.0, 0.0
     kappa = 1.0 + rho
-    log_g, (share_off, share_on) = _log_tilted_mean(q, s, kappa)
-    g_kappa = math.exp(kappa * log_g)
-    base = peak * (q + s - g_kappa)
-    if log_g == -math.inf:
-        return base, 0.0
-    mean_log = (share_off * math.log(s) if s > 0.0 else 0.0) + share_on * math.log1p(s)
-    return base, peak * g_kappa * (mean_log / kappa - log_g)
+    u = math.log1p(1.0 / s) / kappa if s > 0.0 else math.inf
+    e, a = math.exp(-u), -(1.0 - q) * math.expm1(-u)
+    mix = 1.0 - a if a <= 0.5 else q + (1.0 - q) * e
+    log_on = -math.log1p(-a) if a <= 0.5 else -math.log(mix)
+    log_off = -math.log1p(q * math.expm1(u)) if u < 709.0 else log_on - u  # expm1 overflows past 709.78
+    on, off, diff = q / mix, (1.0 - q) * e / mix, q * a / mix
+    g_kappa = (1.0 + s) * mix**kappa
+    # g^kappa P e^(rho l) is q (1+s) on and (1-q) s off.
+    exponent = _tilt_term(q * (1.0 + s), g_kappa * on, rho * log_on)
+    exponent += _tilt_term((1.0 - q) * s, g_kappa * off, rho * log_off)
+    return peak * exponent, peak * g_kappa * (_deviance(on, q, diff, log_on) + _deviance(off, 1.0 - q, -diff, log_off))
+
+
+def _tilt_term(total, share, y):
+    # share (e^y - 1 - y) >= 0 given total = share e^y: total - share (1 + y) where |y| > 1, so that share e^y
+    # never overflows, else the deviance d(1, e^y).
+    if share == 0.0:
+        return total
+    if abs(y) > 1.0:
+        return total - share * (1.0 + y)
+    return share * _deviance(1.0, math.exp(y), -math.expm1(y), -y)
 
 
 def reliability_exponent(params, q, rho):
     """Per-second decoding-error exponent base at tilt order 1 + rho."""
     _check_duty(params, q)
     _check_rho(rho, secrecy=False)
-    return _point(params.peak_bob, params.s_bob, q, rho)[0]
+    exponent, rate = _point(params.peak_bob, params.s_bob, q, rho)
+    return exponent + rho * rate
 
 
 def secrecy_exponent(params, q, rho):
     """Per-second divergence exponent base at tilt order 1 - rho."""
     _check_duty(params, q)
     _check_rho(rho, secrecy=True)
-    return _point(params.peak_eve, params.s_eve, q, -rho)[0]
+    exponent, rate = _point(params.peak_eve, params.s_eve, q, -rho)
+    return exponent - rho * rate
 
 
 def reliability_rate(params, q, rho):
@@ -184,12 +186,12 @@ def secrecy_rate(params, q, rho):
     return _point(params.peak_eve, params.s_eve, q, -rho)[1]
 
 
-def _deviance(x, m, diff):
-    # x log(x/m) - x + m >= 0 (Loader's form), given diff = x - m exactly: near x = m it is
-    # diff v + 2x (v^3/3 + v^5/5 + ...) with v = diff / (x + m), so no two large terms cancel.
+def _deviance(x, m, diff, log_ratio):
+    # x log(x/m) - x + m >= 0 (Loader's form), given diff = x - m and log_ratio = log(x/m) exactly: near x = m it
+    # is diff v + 2x (v^3/3 + v^5/5 + ...) with v = diff / (x + m), so no two large terms cancel.
     v = diff / (x + m)
     if abs(v) >= 0.1:
-        return (x * math.log(x / m) if x > 0.0 else 0.0) - diff
+        return (x * log_ratio if x > 0.0 else 0.0) - diff
     total, term = diff * v, 2.0 * x * v
     for j in range(3, 41, 2):  # |v| < 0.1: 19 terms reach 1e-38 of the first
         term *= v * v
@@ -197,35 +199,24 @@ def _deviance(x, m, diff):
     return total
 
 
-def _information_rate(peak, s, q):
-    # Per-second mutual information of the sliced channel in the delta->0 limit: peak (q + s) D(P||Q),
-    # P = (q (1+s), (1-q) s) / (q + s) the on/off law given a count and Q = (q, 1-q) the duty law.
-    # Its two terms are q d(1+s, q+s) and (1-q) d(s, q+s), d the deviance, with x - m = 1-q and -q.
-    if q == 0.0:
-        return 0.0
-    return peak * (q * _deviance(1.0 + s, q + s, 1.0 - q) + (1.0 - q) * _deviance(s, q + s, -q))
-
-
 def bob_zero_rate(params, q):
     """Rate at which the reliability curve reaches zero exponent."""
     _check_duty(params, q)
-    return _information_rate(params.peak_bob, params.s_bob, q)
+    return _point(params.peak_bob, params.s_bob, q, 0.0)[1]
 
 
 def eve_zero_rate(params, q):
     """Rate at which the secrecy curve leaves zero exponent."""
     _check_duty(params, q)
-    return _information_rate(params.peak_eve, params.s_eve, q)
+    return _point(params.peak_eve, params.s_eve, q, 0.0)[1]
 
 
 def _parametric_curve(peak, s, q, rhos, name):
-    # The point at signed rho is (rate, base - rho * rate) on either side.
     if q == 0.0:
         raise ValueError("duty probability q = 0 puts every curve point at rate 0; curves need q in (0, gamma]")
-    bases, rates = zip(*(_point(peak, s, q, float(r)) for r in rhos))
-    exps = [base - float(r) * rate for r, base, rate in zip(rhos, bases, rates)]
+    exps, rates = zip(*(_point(peak, s, q, float(r)) for r in rhos))
     meta = {"function": name, "q": q, "argmax_rho": np.abs(rhos).tolist()}
-    return ExponentCurve(rates, np.maximum(exps, 0.0), meta)
+    return ExponentCurve(rates, exps, meta)
 
 
 def reliability_curve(params, q, points=60):
@@ -260,14 +251,13 @@ def information_gap(params, q):
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"duty probability must be in [0, 1], got {q}")
-    return _information_rate(params.peak_bob, params.s_bob, q) - _information_rate(
-        params.peak_eve, params.s_eve, q
-    )
+    return _point(params.peak_bob, params.s_bob, q, 0.0)[1] - _point(params.peak_eve, params.s_eve, q, 0.0)[1]
 
 
 def _rate_slope(s, q):
-    # d/dq of _information_rate per unit peak.
-    return -math.log(q + s) - 1.0 + (1.0 + s) * math.log1p(s) - (0.0 if s == 0.0 else s * math.log(s))
+    # d/dq of the information rate per unit peak, q d(1+s, q+s) + (1-q) d(s, q+s), with d the deviance.
+    log_off = -math.log1p(q / s) if s > 0.0 else -math.inf
+    return _deviance(1.0 + s, q + s, 1.0 - q, math.log1p((1.0 - q) / (q + s))) - _deviance(s, q + s, -q, log_off)
 
 
 def _gap_derivative(params, q):

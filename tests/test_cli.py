@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_poisson_wiretap import _mp_point
 from wiretap_exponents import cli, ensemble_sim, figures
 from wiretap_exponents.exponent_engine import ExponentCurve, tradeoff_scenarios
 
@@ -157,15 +158,41 @@ class TestCommands:
         assert payload["residual"] < 1e-12
 
     def test_poisson_capacity_at_a_large_dark_current(self, capsys):
-        # At s = 1e6 the log terms of each information rate are 1e14 times the rate; the 60-digit gap at q = 0.5
-        # is 9.3749945312534180e-08, and a form that cancels printed 9.12696123123169e-08.
+        # At s = 1e6 the log terms of each information rate are 1e14 times the rate; a form that cancels printed
+        # 9.12696123123169e-08. The 60-digit root and the gap there; a log form of the slope left q* at 0.5.
         code = cli.main(
             ["poisson", "capacity", "--Ay", "1", "--Az", "0.5", "--ly", "1e6", "--lz", "1e6", "--gamma", "1"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["q_capped"] == 0.5
-        assert payload["value_nats_per_second"] == pytest.approx(9.3749945312534180e-08, rel=1e-12, abs=0.0)
+        assert payload["q_capped"] == pytest.approx(0.49999995138891262, abs=1e-15)
+        assert payload["value_nats_per_second"] == pytest.approx(9.3749945312535066e-08, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # base - rho * rate cancelled: rates 8.5e-5 and one exponent 2.3e12 times off.
+            "--Ay 1 --Az 0.5 --ly 1e4 --lz 2e4 --gamma 1 --q 0.5 --points 5",
+            # The same cancellation, and the rates at a small duty: exit 2, "rates must be strictly increasing".
+            "--Ay 1 --Az 0.5 --ly 1e5 --lz 1e6 --gamma 1 --q 0.5 --points 5",
+            "--Ay 12 --Az 5 --ly 0.5 --lz 1.5 --gamma 0.5 --q 1e-20 --points 3",
+        ],
+    )
+    def test_poisson_curves_match_mpmath(self, flags, capsys):
+        assert cli.main(f"poisson curves {flags} --format json".split()) == 0
+        payload = json.loads(capsys.readouterr().out)
+        p = payload["params"]
+        for name, peak, dark, sign in (("reliability", p["Ay"], p["ly"], 1.0), ("secrecy", p["Az"], p["lz"], -1.0)):
+            for point in payload[name]["points"]:
+                exponent, rate = _mp_point(dark / peak, p["q"], sign * point["argmax_rho"])
+                assert point["rate"] == pytest.approx(peak * rate, rel=1e-12, abs=0.0)
+                assert point["exponent"] == pytest.approx(peak * exponent, rel=1e-12, abs=0.0)
+
+    def test_poisson_capacity_of_small_peaks_under_dark_currents(self, capsys):
+        # s = 1e7 and 2e7: a log form of the slope left q* unresolved (exit 2). The 400-digit capacity.
+        assert cli.main("poisson capacity --Ay 1e-7 --Az 1e-7 --ly 1 --lz 2 --gamma 1".split()) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value_nats_per_second"] == pytest.approx(6.2499995312500326e-16, rel=1e-12, abs=0.0)
 
     def test_gaussian_capacity(self, capsys):
         code = cli.main(
@@ -371,17 +398,27 @@ class TestExitCodes:
         assert "precondition violation" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command",
+        "command, value",
         [
-            "poisson capacity --Ay 1e-12 --Az 1e-12 --ly 0.5 --lz 1e154 --gamma 1",
-            "poisson concat --Ay 1e300 --Az 1e-300 --ly 1e308 --lz 1.5 --gamma 0.5 --q 0.38 --points 5 --a 0.98"
-            " --b 0.02",
+            ("poisson capacity --Ay 1e-12 --Az 1e-12 --ly 0.5 --lz 1e154 --gamma 1", 2.4999999999974999497e-25),
+            (
+                "poisson concat --Ay 1e300 --Az 1e-300 --ly 1e308 --lz 1.5 --gamma 0.5 --q 0.38 --points 5 --a 0.98"
+                " --b 0.02",
+                None,
+            ),
         ],
     )
-    def test_a_gap_derivative_flat_to_rounding_is_two(self, command, capsys):
-        # Both bracket ends of the derivative round to the same number, so no root can be bracketed.
-        assert cli.main(command.split()) == 2
-        assert "does not resolve q" in capsys.readouterr().err
+    def test_a_gap_derivative_rounding_left_flat_is_resolved(self, command, value, capsys):
+        # A log form of the slope rounded both bracket ends to the same number (exit 2, "does not resolve q").
+        # The capacity is the 400-digit value. The prefixed pair's eve has a dark-to-peak ratio of 1.6e300, so
+        # her curve rates underflow to 0 and the curves, not q*, exit 2.
+        code = cli.main(command.split())
+        out, err = capsys.readouterr()
+        if value is None:
+            assert code == 2 and "rates must be strictly increasing" in err
+        else:
+            assert code == 0
+            assert json.loads(out)["value_nats_per_second"] == pytest.approx(value, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("action", ["curves", "concat --a 0.98 --b 0.02"])
     def test_a_poisson_curve_at_duty_zero_is_two(self, action, capsys):

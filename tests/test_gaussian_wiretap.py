@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from test_acceptance import Budget
 from wiretap_exponents import gaussian_wiretap as gw
 
 
@@ -168,6 +171,30 @@ class TestReliabilityForms:
             assert np.all(vals > 0)
             assert np.all(np.diff(vals) < 0)
             assert np.all(np.diff(vals, 2) >= -1e-9)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(log_snr=st.floats(-16.0, 8.0), log_rate=st.floats(-16.0, 1.0))
+@example(log_snr=-16.0, log_rate=-18.0)  # 3.685786437626905e-17; the log form gave 1.55e-16
+def _explicit_form_oracle(log_snr, log_rate):
+    # The textbook form at 80 digits. Where rate nears the capacity the value falls to 0 below its terms, about
+    # rate + snr u / 2, so the bound is 1e-12 relative with a floor of 1e-15 of that scale.
+    mpmath = pytest.importorskip("mpmath")
+    snr, rate = 10.0**log_snr, 10.0**log_rate
+    with mpmath.workdps(80):
+        a_snr, r = mpmath.mpf(snr), mpmath.mpf(rate)
+        u = mpmath.exp(-2 * r)
+        a = a_snr * (1 - u)
+        root = mpmath.sqrt(1 + 4 / a)
+        ref = float(a_snr * ((1 + u) - (1 - u) * root) / 4 + mpmath.log(1 - a * (root - 1) / 2) / 2 + r)
+    scale = rate + 0.5 * snr * math.exp(-2.0 * rate)
+    assert abs(gw._explicit_form(snr, rate) - ref) <= 1e-12 * abs(ref) + 1e-15 * scale
+
+
+def test_explicit_form_matches_80_digits():
+    # snr in [1e-16, 1e8] and rate in [1e-16, 10].
+    with Budget("gaussian explicit form oracle: 1000 draws", 10.0):
+        _explicit_form_oracle()
 
 
 class TestSecrecyForms:

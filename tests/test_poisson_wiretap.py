@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import Budget
 from wiretap_exponents import ExponentQuery
 from wiretap_exponents import poisson_wiretap as pw
 from wiretap_exponents.exponent_engine import _E0Evaluator
@@ -180,7 +181,7 @@ class TestRateMaps:
             if s > 0.0:
                 exact += (1 - mq) * ms * mpmath.log(ms / mean)
             exact = float(2.5 * exact)
-        assert abs(pw._information_rate(2.5, s, q) - exact) <= 1e-13 * exact
+        assert abs(pw._point(2.5, s, q, 0.0)[1] - exact) <= 1e-13 * exact
 
 
     def test_large_dark_ratio_at_small_tilt_order(self):
@@ -225,6 +226,72 @@ class TestRateMaps:
                 continue
             assert math.isfinite(value), (form.__name__, value)
 
+def _mp_digits(*logs):
+    # 40 digits past the cancellation of the textbook forms: the base and the slope's deviances are about
+    # q (1 - q) / s of q + s, times rho^2 for the curve exponent.
+    return int(40 + 2 * sum(abs(x) for x in logs))
+
+
+def _mp_point(s, q, rho):
+    # (base - rho * rate, rate) from the textbook form at kappa = 1 + rho: base = q + s - g^kappa and
+    # rate = g^kappa D(P||Q), P the shares of g = q (1+s)^(1/kappa) + (1-q) s^(1/kappa).
+    mpmath = pytest.importorskip("mpmath")
+    digits = _mp_digits(math.log10(1.0 + s), math.log10(q), math.log10(1.0 - q), math.log10(abs(rho) or 1.0))
+    with mpmath.workdps(digits):
+        s, q, rho = mpmath.mpf(s), mpmath.mpf(q), mpmath.mpf(rho)
+        kappa = 1 + rho
+        on, off = q * (1 + s) ** (1 / kappa), (1 - q) * s ** (1 / kappa)
+        g = on + off
+        rate = g**kappa * (on / g * mpmath.log(on / (g * q)) + off / g * mpmath.log(off / (g * (1 - q))))
+        return float(q + s - g**kappa - rho * rate) if rho else 0.0, float(rate)
+
+
+def _mp_rate_slope(s, q):
+    # (d(1+s, q+s) - d(s, q+s), d(1+s, q+s) + d(s, q+s)) with d(x, m) = x log(x/m) - x + m.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(_mp_digits(math.log10(1.0 + s), math.log10(q), math.log10(1.0 - q))):
+        s, q = mpmath.mpf(s), mpmath.mpf(q)
+        on = (1 + s) * mpmath.log((1 + s) / (q + s)) - (1 - q)
+        off = (s * mpmath.log(s / (q + s)) if s > 0 else 0) + q
+        return float(on - off), float(on + off)
+
+
+DUTIES = st.one_of(st.floats(1e-30, 1.0, exclude_max=True), st.floats(-30.0, 0.0).map(lambda x: 10.0**x)).filter(
+    lambda q: q < 1.0
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(log_s=st.floats(-300.0, 100.0), q=DUTIES, rho=st.floats(-0.9, 1.0).filter(lambda r: abs(r) >= 1e-6))
+def _point_oracle(log_s, q, rho):
+    s = 10.0**log_s
+    exponent, rate = _mp_point(s, q, rho)
+    got_exponent, got_rate = pw._point(1.0, s, q, rho)
+    assert abs(got_exponent - exponent) <= 1e-13 * exponent, (got_exponent, exponent)
+    assert abs(got_rate - rate) <= 1e-13 * rate, (got_rate, rate)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(log_s=st.one_of(st.just(None), st.floats(-300.0, 100.0)), q=DUTIES)
+def _rate_slope_oracle(log_s, q):
+    s = 0.0 if log_s is None else 10.0**log_s
+    slope, scale = _mp_rate_slope(s, q)
+    assert abs(pw._rate_slope(s, q) - slope) <= 1e-12 * scale, (pw._rate_slope(s, q), slope)
+
+
+class TestOracles:
+    def test_point_matches_mpmath(self):
+        # Curve exponent and rate within 1e-13 relative for s in [1e-300, 1e100], q in [1e-30, 1) and
+        # rho in [-0.9, 1] with |rho| >= 1e-6.
+        with Budget("poisson point oracle: 1000 draws", 10.0):
+            _point_oracle()
+
+    def test_rate_slope_matches_mpmath(self):
+        # The slope is a difference of two deviances, which cancel at its root: bounded by 1e-12 of their sum.
+        with Budget("poisson rate slope oracle: 1000 draws", 10.0):
+            _rate_slope_oracle()
+
+
 class TestCurves:
     def test_reliability_curve_shape(self):
         curve = pw.reliability_curve(fig_params(), 0.38, points=40)
@@ -241,8 +308,8 @@ class TestCurves:
         assert curve.rates[0] == pytest.approx(pw.eve_zero_rate(fig_params(), 0.38), abs=1e-6)
 
     def test_curve_points_are_the_legendre_points_of_the_public_forms(self):
-        # Each point at rho is (rate, base -+ rho * rate) with the public
-        # base and rate of its side, bit for bit.
+        # Each point at rho is (rate, exponent) with the public rate of its
+        # side, and the public base is exponent +- rho * rate, bit for bit.
         params, q = fig_params(), 0.38
         for curve_fn, base_fn, rate_fn, sign in (
             (pw.reliability_curve, pw.reliability_exponent, pw.reliability_rate, -1.0),
@@ -251,7 +318,7 @@ class TestCurves:
             curve = curve_fn(params, q, points=9)
             for rho, rate, exponent in zip(curve.meta["argmax_rho"], curve.rates, curve.exponents):
                 assert rate == rate_fn(params, q, rho)
-                assert exponent == max(base_fn(params, q, rho) + sign * rho * rate, 0.0)
+                assert base_fn(params, q, rho) == exponent - sign * rho * rate
         assert max(pw.secrecy_curve(params, q).meta["argmax_rho"]) == pw.SECRECY_RHO_MAX
 
     def test_curves_cross(self):
@@ -272,16 +339,19 @@ class TestCapacity:
         with pytest.raises(ValueError, match="does not fit a float"):
             pw.capacity(pw.PoissonWiretapParams(1e308, 5e307, 0.0, 1.0, 0.5))
 
-    def test_a_derivative_that_rounding_leaves_flat_is_rejected(self):
-        # f(1e-12) and f(1 - 1e-12) both round to 0.0: the magnitudes swamp the change in q.
-        with pytest.raises(ValueError, match="does not resolve q"):
-            pw.capacity(pw.PoissonWiretapParams(1e-12, 1e-12, 0.5, 1e154, 1.0))
+    def test_a_derivative_that_rounding_left_flat_is_resolved(self):
+        # s = 5e11 and 1e166: a log form of the slope rounded f(1e-12) and f(1 - 1e-12) to 0.0. The 400-digit
+        # root and capacity.
+        cap = pw.capacity(pw.PoissonWiretapParams(1e-12, 1e-12, 0.5, 1e154, 1.0))
+        assert cap.q_star == pytest.approx(0.49999999999991666667, abs=1e-15)
+        assert cap.value == pytest.approx(2.4999999999974999497e-25, rel=1e-12, abs=0.0)
 
-    def test_a_derivative_that_rounding_leaves_negative_at_both_ends_is_rejected(self):
-        # Peaks of 1e-7 under dark currents 1 and 2 (poisson concat with a = 1e-7, b = 0): f(1e-12) and
-        # f(1 - 1e-12) are rounding noise, both negative (RuntimeError "lost its bracket").
-        with pytest.raises(ValueError, match="does not resolve q"):
-            pw.capacity(pw.PoissonWiretapParams(1e-7, 1e-7, 1.0, 2.0, 0.0))
+    def test_a_derivative_that_rounding_left_negative_at_both_ends_is_resolved(self):
+        # Peaks of 1e-7 under dark currents 1 and 2 (poisson concat with a = 1e-7, b = 0): a log form of the slope
+        # left f(1e-12) and f(1 - 1e-12) rounding noise, both negative. The 400-digit root; the cap 0 binds.
+        cap = pw.capacity(pw.PoissonWiretapParams(1e-7, 1e-7, 1.0, 2.0, 0.0))
+        assert cap.q_star == pytest.approx(0.49999999375000026042, abs=1e-15)
+        assert cap.q_capped == 0.0 and cap.value == 0.0
 
     def test_worst_case_ratio_analytic(self):
         for s in (0.1, 0.5, 1.0, 2.0):
