@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .solvers import golden_max, golden_min
+from .solvers import bisect_boundary, golden_max
 
 PROB_TOL = 1e-12
 MORE_CAPABLE_TOL = 1e-9
@@ -34,6 +34,9 @@ STACK_DRIFT = 1e-12
 SIMPLEX_RESOLUTION = 24
 SIMPLEX_BUDGET = 150_000
 SIMPLEX_BLOCK = 256
+# Steps of the k > 2 gap search, and the largest lam and lam * cost that _project_feasible forms.
+GRADIENT_ITERS = 2000
+LAM_COST_MAX = 1e300
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -408,15 +411,90 @@ def _simplex_blocks(k, r):
         yield (np.diff(cuts, axis=1, prepend=-1, append=r + k - 1) - 1) / r
 
 
-def _grid_minimum(bob, eve):
-    # The first minimum of the gap over the simplex grid, scored in array blocks.
-    worst, gap, channels = None, math.inf, _channel_pair(bob, eve)
-    for laws in _simplex_blocks(bob.shape[0], _simplex_resolution(bob.shape[0])):
-        gaps = _info_gap(laws, channels)
-        i = int(np.argmin(gaps))
-        if gaps[i] < gap:
-            worst, gap = laws[i], gaps[i]
-    return worst, gap
+def _grid_optimum(channels, sign, costs, gamma):
+    # The first grid law within the cap maximising sign * gap, scored in array blocks; (law, gap).
+    k = channels[0].shape[0]
+    best_law, best = None, -math.inf
+    for laws in _simplex_blocks(k, _simplex_resolution(k)):
+        laws = laws[laws @ costs <= gamma]
+        if laws.size:
+            gaps = sign * _info_gap(laws, channels)
+            i = int(np.argmax(gaps))
+            if gaps[i] > best:
+                best_law, best = laws[i], gaps[i]
+    return best_law, sign * best
+
+
+def _project_simplex(v):
+    # Euclidean projection onto the probability simplex (sort-based).
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    idx = np.arange(1, len(v) + 1)
+    cond = u - (css - 1.0) / idx > 0
+    k = idx[cond][-1]
+    tau = (css[k - 1] - 1.0) / k
+    return np.maximum(v - tau, 0.0)
+
+
+def _project_feasible(v, costs, gamma):
+    """Euclidean projection of v onto {q in the simplex : costs . q <= gamma}; needs gamma >= min(costs).
+
+    It is the simplex projection of v - lam * costs for the least lam >= 0
+    meeting the cap (KKT); the cost falls as lam grows, so lam is bisected
+    on [0, hi], past which only the cheapest letters keep mass. If lam
+    stops short at LAM_COST_MAX still over the cap, the law is that limit.
+    """
+    q = _project_simplex(v)
+    spread = costs - costs.min()
+    if q @ costs <= gamma or not (spread > 0.0).any():
+        return q
+    # Python floats: a quotient past the float range is inf, not a warning.
+    hi = float(v.max() - v.min() + 1.0) / float(spread[spread > 0.0].min())
+    bound = LAM_COST_MAX / max(float(costs.max()), 1.0)
+    capped = hi > bound
+    hi = min(hi, bound)
+    lam = bisect_boundary(lambda lam: _project_simplex(v - lam * costs) @ costs <= gamma, 0.0, hi, tol=1e-15 * hi)
+    q = _project_simplex(v - lam * costs)
+    if capped and q @ costs > gamma:
+        cheapest = costs == costs.min()
+        q = np.zeros_like(v)
+        q[cheapest] = _project_simplex(v[cheapest])
+    return q
+
+
+def _gap_gradient(q, bob, eve):
+    """Exact gradient in q of I(q, W_bob) - I(q, W_eve): D(W_bob(.|x) || qW_bob) - D(W_eve(.|x) || qW_eve).
+
+    A zero output marginal has its log floored at the smallest normal
+    float, so the gradient stays finite on the simplex boundary.
+    """
+    return _divergences(bob, q @ bob) - _divergences(eve, q @ eve)
+
+
+def _simplex_gap_optimum(bob, eve, costs, gamma, sign):
+    """(law, gap) maximising sign * gap over the laws q with costs . q <= gamma; sign -1.0 finds the minimum.
+
+    The search for three or more letters: the simplex grid's first best
+    law within the cap, then projected gradient ascent of sign * gap from
+    it. A step that raises sign * gap is taken and the next one doubled;
+    any other step is halved, until the step falls below 1e-12 or
+    GRADIENT_ITERS steps are spent. Zero costs with gamma 0 search the
+    whole simplex, every projection the plain simplex one.
+    """
+    channels = _channel_pair(bob, eve)
+    q, val = _grid_optimum(channels, sign, costs, gamma)
+    step, grad = 0.25, sign * _gap_gradient(q, bob, eve)
+    for _ in range(GRADIENT_ITERS):
+        q_new = _project_feasible(q + step * grad, costs, gamma)
+        val_new = _info_gap(q_new, channels)
+        if sign * val_new > sign * val:
+            q, val, grad = q_new, val_new, sign * _gap_gradient(q_new, bob, eve)
+            step *= 2.0
+        else:
+            step *= 0.5
+            if step < 1e-12:
+                break
+    return q, val
 
 
 def is_more_capable(pair):
@@ -425,8 +503,10 @@ def is_more_capable(pair):
     Binary inputs are scanned exhaustively on a 1-D grid and the worst
     point is refined by golden section, which is exhaustive to tolerance.
     Larger alphabets use a simplex grid of at most SIMPLEX_BUDGET points
-    (resolution 1/24 up to 6 letters, coarser beyond) plus local
-    refinement; that is a heuristic certificate, not a proof.
+    (resolution 1/24 up to 6 letters, coarser beyond), then projected
+    gradient descent from the worst grid point (``_simplex_gap_optimum``,
+    the capacity's search too); that is a heuristic certificate, not a
+    proof.
 
     Returns a MoreCapableResult carrying the minimizing input found.
     """
@@ -434,28 +514,7 @@ def is_more_capable(pair):
     if k == 2:
         worst, gap = _binary_gap_optimum(bob, eve, 0.0, 1.0, -1.0)
     else:
-        # Heuristic for >2 letters: simplex sweep, then coordinate golden
-        # refinement around the worst grid point, until a sweep lowers
-        # nothing (a later sweep would repeat its searches), at most three.
-        worst, gap = _grid_minimum(bob, eve)
-        channels = _channel_pair(bob, eve)
-        for _ in range(3):
-            start = gap
-            for i, j in itertools.permutations(range(k), 2):
-                budget = worst[i] + worst[j]
-                if budget <= 0.0:
-                    continue
-
-                def moved(t):
-                    q = worst.copy()
-                    q[i], q[j] = t, budget - t
-                    return q
-
-                t_star, g = golden_min(lambda t: _info_gap(moved(t), channels), 0.0, budget, tol=1e-10)
-                if g < gap:
-                    worst, gap = moved(t_star), g
-            if gap == start:
-                break
+        worst, gap = _simplex_gap_optimum(bob, eve, np.zeros(k), 0.0, -1.0)
     return MoreCapableResult(gap >= -MORE_CAPABLE_TOL, worst, gap)
 
 

@@ -43,6 +43,7 @@ from .channel_core import (
     _frozen_array,
     _frozen_mapping,
     _info_gap,
+    _simplex_gap_optimum,
     _Value,
     _whole_number,
     concatenate,
@@ -58,13 +59,9 @@ ZERO_RATE_THRESHOLD = 1e-15
 ZERO_RATE_TOL = 1e-9
 TRADEOFF_TOL = 1e-9
 _NEG_INF = float("-inf")
-# Starts, and steps per start, of the two local capacity searches.
-GRADIENT_STARTS = 8
-GRADIENT_ITERS = 300
+# Starts, and steps per start, of the auxiliary capacity search.
 AUX_STARTS = 6
 AUX_ITERS = 250
-# Largest lam and lam * cost that _project_feasible forms.
-LAM_COST_MAX = 1e300
 
 
 def _bits(a):
@@ -625,8 +622,10 @@ class CapacityResult(_Value):
     """Secrecy capacity search outcome.
 
     ``heuristic`` marks values that are lower bounds from a local search
-    (non-more-capable pairs with an auxiliary alphabet) rather than an
-    exhaustive scan certificate.
+    over an auxiliary alphabet (pairs that are not more capable). Without
+    it the value is a scan certificate for two letters; for more letters
+    it is one local ascent of the gap, a certificate only where the gap is
+    concave (less-noisy pairs, van Dijk 1997).
     """
 
     value: float = _checked(_finite_float, "capacity value")
@@ -653,75 +652,8 @@ def _best_input_binary(pair, costs, gamma):
     return _binary_gap_optimum(pair.bob.rows, pair.eve.rows, lo, hi, 1.0)
 
 
-def _project_simplex(v):
-    # Euclidean projection onto the probability simplex (sort-based).
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, len(v) + 1)
-    cond = u - (css - 1.0) / idx > 0
-    k = idx[cond][-1]
-    tau = (css[k - 1] - 1.0) / k
-    return np.maximum(v - tau, 0.0)
-
-
-def _project_feasible(v, costs, gamma):
-    """Euclidean projection of v onto {q in the simplex : costs . q <= gamma}; needs gamma >= min(costs).
-
-    It is the simplex projection of v - lam * costs for the least lam >= 0
-    meeting the cap (KKT); the cost falls as lam grows, so lam is bisected
-    on [0, hi], past which only the cheapest letters keep mass. If lam
-    stops short at LAM_COST_MAX still over the cap, the law is that limit.
-    """
-    q = _project_simplex(v)
-    spread = costs - costs.min()
-    if q @ costs <= gamma or not (spread > 0.0).any():
-        return q
-    # Python floats: a quotient past the float range is inf, not a warning.
-    hi = float(v.max() - v.min() + 1.0) / float(spread[spread > 0.0].min())
-    bound = LAM_COST_MAX / max(float(costs.max()), 1.0)
-    capped = hi > bound
-    hi = min(hi, bound)
-    lam = bisect_boundary(lambda lam: _project_simplex(v - lam * costs) @ costs <= gamma, 0.0, hi, tol=1e-15 * hi)
-    q = _project_simplex(v - lam * costs)
-    if capped and q @ costs > gamma:
-        cheapest = costs == costs.min()
-        q = np.zeros_like(v)
-        q[cheapest] = _project_simplex(v[cheapest])
-    return q
-
-
-def _gap_gradient(q, bob, eve):
-    """Exact gradient in q of I(q, W_bob) - I(q, W_eve): D(W_bob(.|x) || qW_bob) - D(W_eve(.|x) || qW_eve).
-
-    A zero output marginal has its log floored at the smallest normal
-    float, so the gradient stays finite on the simplex boundary.
-    """
-    return _divergences(bob, q @ bob) - _divergences(eve, q @ eve)
-
-
-def _best_input_gradient(pair, costs, gamma, seed):
-    # Multi-start projected gradient ascent: a step that raises the gap is
-    # taken and the next one doubled; any other step is halved instead.
-    bob, eve = pair.bob.rows, pair.eve.rows
-    channels = _channel_pair(bob, eve)
-    rng = np.random.default_rng(seed)
-    best_q, best = None, -math.inf
-    for _ in range(GRADIENT_STARTS):
-        q = _project_feasible(rng.dirichlet(np.ones(pair.num_inputs)), costs, gamma)
-        step, val, grad = 0.25, _info_gap(q, channels), _gap_gradient(q, bob, eve)
-        for _ in range(GRADIENT_ITERS):
-            q_new = _project_feasible(q + step * grad, costs, gamma)
-            val_new = _info_gap(q_new, channels)
-            if val_new > val:
-                q, val, grad = q_new, val_new, _gap_gradient(q_new, bob, eve)
-                step *= 2.0
-            else:
-                step *= 0.5
-                if step < 1e-9:
-                    break
-        if val > best:
-            best_q, best = q, val
-    return best_q, best
+def _best_input_gradient(pair, costs, gamma):
+    return _simplex_gap_optimum(pair.bob.rows, pair.eve.rows, costs, gamma, 1.0)
 
 
 def _softmax(logits):
@@ -782,13 +714,15 @@ def secrecy_capacity(pair, costs, gamma, aux_dim=2, seed=0):
     """Largest rate with both vanishing error and vanishing divergence.
 
     For more-capable pairs the optimization runs over input laws only
-    (exhaustive 1-D scan on binary alphabets, multi-start projected
-    gradient ascent on the exact gradient otherwise). Otherwise a local
+    (exhaustive 1-D scan on binary alphabets, otherwise projected
+    gradient ascent on the exact gradient from the best law of the
+    check's simplex grid within the cap). Otherwise a local
     search over an auxiliary alphabet of size ``aux_dim`` produces a
     lower bound flagged as heuristic. By the support lemma |V| <= |X|
     suffices without a cost (Csiszar and Korner 1978; El Gamal and Kim
     2011, Thm 22.1) and the one cost constraint can add one letter; a
     smaller ``aux_dim`` searches fewer channels, still a lower bound.
+    ``seed`` drives only that auxiliary search.
 
     Costs must be finite, nonnegative and one per input letter, the cap
     ``gamma`` finite and at least the cheapest cost, and ``aux_dim`` a
@@ -806,7 +740,7 @@ def secrecy_capacity(pair, costs, gamma, aux_dim=2, seed=0):
         if pair.num_inputs == 2:
             q, best = _best_input_binary(pair, costs, gamma)
         else:
-            q, best = _best_input_gradient(pair, costs, gamma, seed)
+            q, best = _best_input_gradient(pair, costs, gamma)
         return CapacityResult(float(max(best, 0.0)), q, None, True, False, mc.min_gap)
     best, qv, rows = _aux_search(pair, costs, gamma, aux_dim, seed)
     return CapacityResult(float(max(best, 0.0)), qv, DiscreteChannel(rows), False, True, mc.min_gap)

@@ -215,6 +215,11 @@ def _parametric_curve(peak, s, q, rhos, name):
     if q == 0.0:
         raise ValueError("duty probability q = 0 puts every curve point at rate 0; curves need q in (0, gamma]")
     exps, rates = zip(*(_point(peak, s, q, float(r)) for r in rhos))
+    if np.any(np.diff(rates) <= 0.0):  # ExponentCurve's check, with the curve and the cause named
+        raise ValueError(
+            f"{name} rates must be strictly increasing, got {list(rates)}: at peak {peak} and dark-to-peak"
+            f" ratio {s} they round to equal values"
+        )
     meta = {"function": name, "q": q, "argmax_rho": np.abs(rhos).tolist()}
     return ExponentCurve(rates, exps, meta)
 

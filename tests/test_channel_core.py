@@ -303,11 +303,11 @@ class TestStackedGap:
             assert (rows @ channel_core._channel_pair(bob, eve)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
-        "k, degraded, searches", [(2, True, 2), (2, False, 2), (3, True, 3), (3, False, 3), (4, True, 3)]
+        "k, degraded, searches", [(2, True, 2), (2, False, 2), (3, True, 2), (3, False, 2), (4, True, 2)]
     )
     def test_each_search_stacks_its_pair_once(self, k, degraded, searches, monkeypatch):
-        # One stack per search: the binary scan or the simplex grid and its refinement, then the
-        # binary, gradient or auxiliary capacity search; every gap of a search scores that stack.
+        # One stack per search: the binary scan or the simplex search of the check, then the
+        # binary, simplex or auxiliary capacity search; every gap of a search scores that stack.
         builds, gaps = [], []
         build, gap = channel_core._channel_pair, channel_core._info_gap
 
@@ -585,11 +585,16 @@ class TestBinaryGapScan:
         assert law.tobytes() == want_law.tobytes() and float(gap).hex() == float(want_gap).hex()
 
 
+def grid_minimum(bob, eve):
+    # The check's grid search: the first law of least gap, no cap.
+    return channel_core._grid_optimum(channel_core._channel_pair(bob, eve), -1.0, np.zeros(len(bob)), 0.0)
+
+
 def three_sweeps(bob, eve):
-    # The k > 2 refinement before it stopped at its fixed point: always
-    # three sweeps. Returns (worst, gap, golden searches run).
-    worst, gap = channel_core._grid_minimum(bob, eve)
-    searches = 0
+    # The k > 2 refinement before the gradient descent replaced it: pairwise
+    # golden sweeps over every ordered letter pair around the worst grid law,
+    # three sweeps. Returns (worst, gap).
+    worst, gap = grid_minimum(bob, eve)
     for _ in range(3):
         for i, j in itertools.permutations(range(len(worst)), 2):
             budget = worst[i] + worst[j]
@@ -602,36 +607,23 @@ def three_sweeps(bob, eve):
                 return q
 
             t_star, g = solvers.golden_min(lambda t: channel_core._info_gap(moved(t), channel_core._channel_pair(bob, eve)), 0.0, budget, tol=1e-10)
-            searches += 1
             if g < gap:
                 worst, gap = moved(t_star), g
-    return worst, gap, searches
+    return worst, gap
 
 
-def test_refinement_stops_at_its_fixed_point_with_the_same_bits(monkeypatch):
-    # A sweep that lowers nothing leaves worst as it was, so every later
-    # sweep would repeat it: stopping there keeps every bit, with fewer searches.
-    searches = 0
-
-    def counted(*args, **kwargs):
-        nonlocal searches
-        searches += 1
-        return solvers.golden_min(*args, **kwargs)
-
-    monkeypatch.setattr(channel_core, "golden_min", counted)
+def test_descent_reaches_the_old_refinement_minimum():
+    # The six pairs the sweeps' bits were pinned on, then 50 more: the descent's
+    # minimum is never above the sweeps' beyond 1e-15, and the verdict is theirs.
     rng = np.random.default_rng(5)
-    fixed = 0
-    for k, degraded in itertools.product((3, 4, 5), (True, False)):
+    shapes = [*itertools.product((3, 4, 5), (True, False)), *((3 + i % 3, i % 2 == 0) for i in range(50))]
+    for k, degraded in shapes:
         bob = rng.dirichlet(np.ones(k), size=k)
         eve = bob @ rng.dirichlet(np.ones(k), size=k) if degraded else rng.dirichlet(np.ones(k), size=k)
-        worst, gap, oracle_searches = three_sweeps(bob, eve)
-        searches = 0
+        _, gap = three_sweeps(bob, eve)
         result = is_more_capable(WiretapPair(DiscreteChannel(bob), DiscreteChannel(eve)))
-        assert result.min_gap.hex() == gap.hex()
-        assert [x.hex() for x in result.worst_input] == [x.hex() for x in worst]
-        assert searches <= oracle_searches
-        fixed += searches < oracle_searches
-    assert fixed > 0
+        assert result.min_gap <= gap + 1e-15
+        assert result.holds == (gap >= -channel_core.MORE_CAPABLE_TOL)
 
 
 def old_simplex_grid(dim, resolution):
@@ -675,7 +667,7 @@ class TestSimplexScan:
             g = mutual_information(q, DiscreteChannel(bob)) - mutual_information(q, DiscreteChannel(eve))
             if g < gap:
                 worst, gap = q, g
-        got_worst, got_gap = channel_core._grid_minimum(bob, eve)
+        got_worst, got_gap = grid_minimum(bob, eve)
         assert np.array_equal(got_worst, worst)
         assert got_gap == pytest.approx(gap, abs=1e-15)
 
@@ -684,7 +676,7 @@ class TestSimplexScan:
         # Equal channels tie at gap 0 everywhere: the first law enumerated wins.
         monkeypatch.setattr(channel_core, "SIMPLEX_BLOCK", block)
         rows = np.random.default_rng(3).dirichlet(np.ones(4), size=4)
-        worst, gap = channel_core._grid_minimum(rows, rows)
+        worst, gap = grid_minimum(rows, rows)
         assert np.array_equal(worst, [0.0, 0.0, 0.0, 1.0]) and gap == 0.0
 
 

@@ -420,6 +420,14 @@ class TestExitCodes:
             assert code == 0
             assert json.loads(out)["value_nats_per_second"] == pytest.approx(value, rel=1e-12, abs=0.0)
 
+    def test_poisson_rates_that_underflow_name_the_curve_and_the_cause(self, capsys):
+        # The prefixed eve has peak 9.6e-301 and dark-to-peak ratio 1.5625e300: every secrecy rate is 0.0.
+        command = "poisson concat --Ay 1e300 --Az 1e-300 --ly 1e308 --lz 1.5 --gamma 0.5 --q 0.38 --points 5"
+        assert cli.main(f"{command} --a 0.98 --b 0.02".split()) == 2
+        err = capsys.readouterr().err
+        assert "secrecy_per_second rates must be strictly increasing" in err
+        assert "peak 9.6e-301" in err and "dark-to-peak ratio 1.5625e+300" in err
+
     @pytest.mark.parametrize("action", ["curves", "concat --a 0.98 --b 0.02"])
     def test_a_poisson_curve_at_duty_zero_is_two(self, action, capsys):
         # Every point of a curve at q = 0 has rate 0.

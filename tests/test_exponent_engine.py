@@ -16,6 +16,7 @@ from wiretap_exponents import (
     ExponentQuery,
     WiretapPair,
     gallager_e0,
+    is_more_capable,
     mutual_information,
     reliability_curve,
     reliability_exponent,
@@ -30,7 +31,7 @@ from wiretap_exponents import (
     tradeoff_scenarios,
 )
 from wiretap_exponents import exponent_engine as engine
-from wiretap_exponents import figures
+from wiretap_exponents import channel_core, figures
 from wiretap_exponents.channel_core import lifted_cost
 from wiretap_exponents.exponent_engine import (
     RHO_EPS,
@@ -440,7 +441,7 @@ class TestSecrecyCapacity:
         for seed in range(3):
             result = secrecy_capacity(pair, [1.0, 1.0, 1.0], 2.0, seed=seed)
             assert result.value == pytest.approx(0.7215948424621532, abs=1e-9)
-        grad = engine._gap_gradient(np.array([0.5, 0.5, 0.0]), pair.bob.rows, pair.eve.rows)
+        grad = channel_core._gap_gradient(np.array([0.5, 0.5, 0.0]), pair.bob.rows, pair.eve.rows)
         assert np.all(np.isfinite(grad)) and grad[2] > 100.0
 
     @pytest.mark.parametrize("aux_dim", [0, -1])
@@ -475,7 +476,7 @@ class TestSecrecyCapacity:
             # Zeros in the channels and in q, so some output marginals vanish.
             bob, eve = (rng.dirichlet(np.ones(m), size=k) * (rng.random((k, m)) < 0.7) for _ in range(2))
             q = rng.dirichlet(np.ones(k)) * (rng.random(k) < 0.7)
-            assert np.array_equal(engine._gap_gradient(q, bob, eve), written_out(q, bob, eve))
+            assert np.array_equal(channel_core._gap_gradient(q, bob, eve), written_out(q, bob, eve))
 
     @pytest.mark.parametrize(
         "costs, gamma",
@@ -493,17 +494,23 @@ class TestSecrecyCapacity:
         costs = np.array(costs)
         for seed in range(5):
             v = np.random.default_rng(seed).normal(scale=3.0, size=len(costs))
-            q = engine._project_feasible(v, costs, gamma)
+            q = channel_core._project_feasible(v, costs, gamma)
             assert np.isfinite(q).all() and q.min() >= 0.0 and abs(q.sum() - 1.0) <= 1e-12
             assert q @ costs <= gamma * (1.0 + 1e-12)
 
-    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("k", [3, 4, 5])
     @pytest.mark.parametrize("cap", ["binding", "slack"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_degraded_input_search_oracles(self, k, cap, seed):
+    @pytest.mark.parametrize("kind", ["degraded", "mixture"])
+    def test_degraded_input_search_oracles(self, k, cap, seed, kind):
+        # Degraded pairs, whose gap is concave, and more-capable mixtures that are not degraded, whose
+        # gap need not be: at k = 5, slack, seed 1 an ascent from the uniform law stops 5.7e-3 short.
         rng = np.random.default_rng([k, seed])
-        bob = rng.dirichlet(np.ones(k), size=k)
-        eve = bob @ rng.dirichlet(np.ones(k), size=k)
+        if kind == "degraded":
+            bob = rng.dirichlet(np.ones(k), size=k)
+            eve = bob @ rng.dirichlet(np.ones(k), size=k)
+        else:
+            bob, eve = more_capable_mixture(rng, k)
         costs = rng.uniform(0.5, 2.0, k)
         gamma = costs.min() + 0.3 * (costs.mean() - costs.min()) if cap == "binding" else 1.1 * costs.max()
         pair = WiretapPair(DiscreteChannel(bob), DiscreteChannel(eve))
@@ -511,8 +518,37 @@ class TestSecrecyCapacity:
         q = result.input_law
         assert result.more_capable and not result.heuristic
         assert q @ costs <= gamma + 1e-12
-        assert result.value >= dense_grid_capacity(bob, eve, costs, gamma, 48 if k == 3 else 20)
+        assert result.value >= dense_grid_capacity(bob, eve, costs, gamma, {3: 48, 4: 20, 5: 12}[k])
         assert kkt_residual(q, bob, eve, costs, gamma) <= 1e-6
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["random", "mixture"])
+    def test_more_capable_minimum_meets_kkt(self, k, seed, kind):
+        # The check's least gap is the swapped pair's largest gap over the whole simplex (no cost).
+        rng = np.random.default_rng([k, seed, 1])
+        if kind == "random":
+            bob, eve = rng.dirichlet(np.ones(k), size=k), rng.dirichlet(np.ones(k), size=k)
+        else:
+            bob, eve = more_capable_mixture(rng, k)
+        result = is_more_capable(WiretapPair(DiscreteChannel(bob), DiscreteChannel(eve)))
+        assert result.holds == (kind == "mixture")
+        assert kkt_residual(result.worst_input, eve, bob, np.zeros(k), 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["degraded", "mixture"])
+    def test_more_capable_search_reads_no_seed(self, kind):
+        rng = np.random.default_rng(4)
+        if kind == "degraded":
+            bob = rng.dirichlet(np.ones(4), size=4)
+            eve = bob @ rng.dirichlet(np.ones(4), size=4)
+        else:
+            bob, eve = more_capable_mixture(rng, 4)
+        costs = rng.uniform(0.5, 2.0, 4)
+        gamma = costs.min() + 0.3 * (costs.mean() - costs.min())
+        pair = WiretapPair(DiscreteChannel(bob), DiscreteChannel(eve))
+        results = [secrecy_capacity(pair, costs, gamma, seed=seed) for seed in (0, 1, 7919)]
+        assert results[0].more_capable
+        assert len({(r.value.hex(), r.input_law.tobytes(), r.min_info_gap.hex()) for r in results}) == 1
 
     def test_project_feasible_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -521,9 +557,24 @@ class TestSecrecyCapacity:
             v = rng.normal(scale=rng.choice([0.3, 1.0, 5.0]), size=k)
             costs = rng.uniform(0.0, 2.0, k)
             gamma = costs.min() + rng.uniform(0.0, 1.2) * (costs.max() - costs.min())
-            q = engine._project_feasible(v, costs, gamma)
+            q = channel_core._project_feasible(v, costs, gamma)
             assert q @ costs <= gamma + 1e-12
             assert np.abs(q - brute_force_projection(v, costs, gamma)).max() <= 1e-9
+
+
+def more_capable_mixture(rng, k):
+    # eve = (1 - lam) bob T + lam R at the largest lam listed for which the pair passes the more-capable
+    # check while eve is no degraded bob: for a square invertible bob, bob^-1 eve is the only candidate T,
+    # and it has a negative entry. T and R are drawn again until some lam qualifies.
+    bob = rng.dirichlet(np.ones(k), size=k)
+    for _ in range(20):
+        degraded, other = bob @ rng.dirichlet(np.ones(k), size=k), rng.dirichlet(np.ones(k), size=k)
+        for lam in (0.5, 0.4, 0.3, 0.2, 0.1, 0.05):
+            eve = (1.0 - lam) * degraded + lam * other
+            pair = WiretapPair(DiscreteChannel(bob), DiscreteChannel(eve))
+            if np.linalg.solve(bob, eve).min() < 0.0 and is_more_capable(pair).holds:
+                return bob, eve
+    raise AssertionError("no more-capable mixture in 20 draws")
 
 
 def dense_grid_capacity(bob, eve, costs, gamma, n):
